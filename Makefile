@@ -40,7 +40,7 @@ async-quick:
 
 # Quick compiled-backend check: small workloads judged against the
 # BENCH_compiled.json quick floors (no rewrite).  Exits 0 with a
-# notice when no compiled tier can be built (no numba, no C compiler)
+# notice when no compiled tier can be built (no C compiler)
 # so a bare install stays green.
 compiled-quick:
 	$(PYTHON) benchmarks/bench_compiled.py --quick

@@ -19,9 +19,9 @@ Methodology matches ``bench_sim_kernel.py``: every speedup is the
 both implementations alike.  Compilation cost is kept out of the
 measured runs — :func:`repro.backends.compiled.warmup` builds (or
 cache-loads) the C library up front, and the per-phase Timer spans
-(``compile.cext`` / ``compile.numba`` vs ``run.fifo``) are recorded in
-the provenance block so the JSON separates JIT/C-build warmup from
-steady-state throughput.
+(``compile.cext`` vs ``run.fifo``) are recorded in the provenance
+block so the JSON separates C-build warmup from steady-state
+throughput.
 
 Run from the repository root::
 
@@ -30,9 +30,9 @@ Run from the repository root::
 The acceptance targets are >= 3x events/sec over the fast kernel on
 the FIFO closed loop and >= 2x on the Fair Share queue-law microbench
 (quick mode shrinks the workloads and judges against the lower
-``QUICK_TARGETS``).  When no compiled tier can be built at all (no C
-compiler, no numba) the benchmark prints a notice and exits 0 — the
-compiled tier is optional by contract.
+``QUICK_TARGETS``).  When the compiled tier cannot be built (no C
+compiler) the benchmark prints a notice and exits 0 — the compiled
+tier is optional by contract.
 """
 
 import argparse
@@ -149,8 +149,8 @@ def run_benchmarks(quick=False):
 
 
 def compiled_tier_available() -> bool:
-    """Anything to benchmark?  (C event loop or a compiled FS tier.)"""
-    return compiled.fifo_lib() is not None or compiled.fs_available()
+    """Anything to benchmark?  (The C extension built.)"""
+    return compiled.tier() == "cext"
 
 
 def main(argv=None):
@@ -164,7 +164,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if not compiled_tier_available():
-        print("compiled tier unavailable (no numba, no C compiler) — "
+        print("compiled tier unavailable (no C compiler) — "
               "nothing to benchmark; the pure-python fallback serves "
               "all paths")
         return 0

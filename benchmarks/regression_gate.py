@@ -16,7 +16,7 @@ committed baselines in ``BENCH_core.json``, ``BENCH_sim.json``,
 ``BENCH_compiled.json``, and exits nonzero
 when performance regressed by more than the threshold (default 25%).
 The compiled-backend leg is skipped with a notice when no compiled
-tier exists in the environment (no numba, no C compiler) — the tier
+tier exists in the environment (no C compiler) — the tier
 is optional, so a bare install must stay green.
 
 Two modes:
@@ -94,7 +94,7 @@ GATED_ASYNC = [("async_ensemble", "async_ensemble_speedup_min"),
 
 #: The compiled-backend benchmarks (baseline BENCH_compiled.json).
 #: Skipped with a notice when no compiled tier can be built in this
-#: environment (no numba, no C compiler): the tier is optional by
+#: environment (no C compiler): the tier is optional by
 #: contract, so its absence must not fail CI on a bare install.
 GATED_COMPILED = [("compiled_fifo", "compiled_fifo_speedup_min"),
                   ("fs_queue_law", "fs_queue_law_speedup_min")]
@@ -272,8 +272,8 @@ def main(argv=None):
     compiled_ok, compiled_report, compiled_notice = True, [], None
     if not compiled_tier_available():
         compiled_notice = ("compiled-backend benchmarks skipped: no "
-                           "compiled tier in this environment (no "
-                           "numba, no C compiler) — pure-python "
+                           "compiled tier in this environment (no C "
+                           "compiler) — pure-python "
                            "fallback in force")
     else:
         with open(args.compiled_baseline) as fh:

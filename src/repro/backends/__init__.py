@@ -1,42 +1,34 @@
-"""Pluggable array backends and compiled hot-path kernels.
+"""Kernel backends: which implementation serves the compiled hot paths.
 
-The batch engine is written against an array *namespace* ``xp`` —
-numpy by default — plus an optional compiled-kernel tier for the two
-hot paths that dominate profiles: the FIFO event loop in
-:mod:`repro.simulation.kernel` and the Fair Share sorted prefix-sum
-queue laws in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`.
-This package is the single place both axes are resolved:
+The engine computes with numpy throughout.  What a backend selects is
+the kernel tier behind the two hot paths that dominate profiles: the
+FIFO event loop in :mod:`repro.simulation.kernel` and the Fair Share
+sorted prefix-sum queue laws in :mod:`repro.core.fairshare` /
+:mod:`repro.core.signals`.  This package is the single place that
+choice is resolved:
 
 * :func:`resolve` — map a backend name (or the ``REPRO_BACKEND``
   environment variable) to a :class:`Backend`.  Unknown or unavailable
   names raise a loud :class:`~repro.errors.CLIError` listing what *is*
-  available, never a silent numpy fallback.
+  available, never a silent fallback.
 * :func:`use` / :func:`using` / :func:`active` — process-wide backend
   activation (``using`` is the scoped context-manager form).  The
-  default is the plain numpy backend, under which every code path is
-  bit-identical to the pre-backend engine.
+  default is the plain numpy backend.
 * :func:`fs_kernels_active` — the switch :func:`~repro.core.math_utils.
   pick_kernel` consults before routing ``method="auto"`` to the
   compiled Fair Share kernels.
-* :func:`stub_namespace` — a numpy-masquerading namespace that counts
-  attribute traffic, so the test suite can prove the ``xp`` seam is
-  really threaded through without needing a GPU.
 
 Backend names
 -------------
 
 =============  ============================================================
-``numpy``      plain numpy, pure-python kernels (always available; default)
-``compiled``   best compiled tier with graceful fallback:
-               numba ``@njit`` > runtime-compiled C extension > pure python
-``numba``      force the numba tier (loud error when numba is absent)
+``numpy``      pure-python/numpy kernels (always available; default)
+``compiled``   the runtime-compiled C extension when a C compiler
+               exists, otherwise the pure-python kernels
 ``cext``       force the C-extension tier (loud error when no C compiler)
-``cupy``       cupy array namespace (probed; loud error when absent)
-``jax``        ``jax.numpy`` namespace (probed; loud error when absent)
-``stub``       numpy-masquerade test namespace (always available)
 =============  ============================================================
 
-The compiled tiers never change results: every kernel is proven
+The compiled tier never changes results: every kernel is proven
 bit-identical (same RNG bitstream, same float operation order) to the
 pure-python/numpy engines by ``tests/integration/
 test_kernel_equivalence.py`` and the ``compiled-equivalence`` fuzz
@@ -47,108 +39,41 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import CLIError
 
 __all__ = [
     "Backend", "BACKEND_NAMES", "available_backends", "resolve",
     "use", "using", "active", "reset", "fs_kernels_active",
-    "stub_namespace", "StubNamespace",
 ]
 
 #: Every backend name :func:`resolve` understands, in listing order.
-BACKEND_NAMES = ("numpy", "compiled", "numba", "cext", "cupy", "jax",
-                 "stub")
-
-#: Install hint appended to unavailable-backend errors.
-_INSTALL_HINT = ("install the optional JIT tier with "
-                 "'pip install repro[numba]' for the numba backend, "
-                 "or ensure a C compiler (cc/gcc/clang) is on PATH "
-                 "for the cext backend")
+BACKEND_NAMES = ("numpy", "compiled", "cext")
 
 
 @dataclass(frozen=True)
 class Backend:
-    """One resolved backend: an array namespace plus a kernel tier.
+    """One resolved backend: a kernel tier.
 
     Attributes:
         name: the resolved backend name (one of :data:`BACKEND_NAMES`).
-        xp: the array namespace (numpy, cupy, ``jax.numpy``, or the
-            stub masquerade).  Everything threaded through the ``xp``
-            seam calls into this object.
-        kernel_tier: which compiled-kernel implementation serves the
-            hot paths — ``"numba"``, ``"cext"``, or ``"python"``
-            (meaning: the existing pure-python/numpy kernels).
+        kernel_tier: which implementation serves the hot paths —
+            ``"cext"`` or ``"python"`` (meaning: the pure-python/numpy
+            kernels).
         description: one-line summary for ``selftest`` / ``--backend``
             listings.
     """
 
     name: str
-    xp: Any
     kernel_tier: str = "python"
     description: str = ""
 
     @property
-    def is_numpy(self) -> bool:
-        """True when ``xp`` is the real numpy module (the compiled
-        kernel tiers require host numpy arrays)."""
-        return self.xp is np
-
-    @property
     def compiled(self) -> bool:
-        """True when a compiled kernel tier (numba or cext) is live."""
-        return self.kernel_tier in ("numba", "cext")
-
-
-class StubNamespace:
-    """A numpy masquerade for exercising the ``xp`` seam without a GPU.
-
-    Every attribute lookup is delegated to numpy and counted, so a
-    test can assert both that results are bit-identical to the numpy
-    path *and* that the pipeline really routed its array calls through
-    the namespace object it was handed (``calls`` > 0) rather than a
-    hard-coded ``np``.
-    """
-
-    def __init__(self):
-        self.calls = 0
-        self.attributes_used: set = set()
-
-    def __getattr__(self, name: str):
-        value = getattr(np, name)
-        # Plain instance-dict writes; __getattr__ only fires on misses.
-        self.calls += 1
-        self.attributes_used.add(name)
-        return value
-
-    def __repr__(self):
-        return f"StubNamespace(calls={self.calls})"
-
-
-def stub_namespace() -> StubNamespace:
-    """A fresh counting numpy-masquerade namespace."""
-    return StubNamespace()
-
-
-def _probe_module(name: str):
-    """Import ``name`` if present; None when absent or broken."""
-    try:
-        import importlib
-        return importlib.import_module(name)
-    except Exception:
-        return None
-
-
-def _numba_available() -> bool:
-    import importlib.util
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
+        """True when the compiled (C) kernel tier is live."""
+        return self.kernel_tier == "cext"
 
 
 def _cext_possible() -> bool:
@@ -159,15 +84,9 @@ def _cext_possible() -> bool:
 
 def available_backends() -> list:
     """Names from :data:`BACKEND_NAMES` usable in this environment."""
-    names = ["numpy", "compiled", "stub"]  # never unavailable
-    if _numba_available():
-        names.insert(2, "numba")
+    names = ["numpy", "compiled"]  # never unavailable
     if _cext_possible():
-        names.insert(names.index("stub"), "cext")
-    if _probe_module("cupy") is not None:
-        names.insert(names.index("stub"), "cupy")
-    if _probe_module("jax") is not None:
-        names.insert(names.index("stub"), "jax")
+        names.append("cext")
     return names
 
 
@@ -175,7 +94,7 @@ def _unavailable(name: str, why: str) -> CLIError:
     return CLIError(
         f"backend {name!r} is not available in this environment "
         f"({why}); available backends: "
-        f"{', '.join(available_backends())} — {_INSTALL_HINT}")
+        f"{', '.join(available_backends())}")
 
 
 def resolve(name: Optional[str] = None) -> Backend:
@@ -187,67 +106,38 @@ def resolve(name: Optional[str] = None) -> Backend:
             ``"numpy"`` when that is unset or empty).
 
     Raises:
-        CLIError: unknown name, or a real dependency gap — ``numba``
-            without numba installed, ``cext`` without a C compiler,
-            ``cupy``/``jax`` without the module.  The message lists
-            the backends that *are* available plus the install hint;
-            nothing ever silently degrades to numpy.
+        CLIError: unknown name, or ``cext`` without a C compiler (or
+            with a failing build).  The message lists the backends
+            :data:`BACKEND_NAMES` offers; nothing ever silently
+            degrades to numpy.
 
     ``"compiled"`` is the one gracefully-degrading name: it resolves
-    to the best tier present (numba > cext > pure python) because its
-    contract is "same bits, faster when possible", not "a specific
-    dependency".
+    to the C tier when it builds and to the pure-python kernels
+    otherwise, because its contract is "same bits, faster when
+    possible", not "a specific dependency".
     """
     if name is None:
         name = os.environ.get("REPRO_BACKEND", "").strip() or "numpy"
     name = str(name).strip().lower()
     if name not in BACKEND_NAMES:
         raise CLIError(
-            f"unknown backend {name!r}; available backends: "
-            f"{', '.join(available_backends())} — {_INSTALL_HINT}")
-
+            f"unknown backend {name!r}; backends: "
+            f"{', '.join(BACKEND_NAMES)} (available here: "
+            f"{', '.join(available_backends())})")
     if name == "numpy":
-        return Backend("numpy", np, "python",
+        return Backend("numpy", "python",
                        "plain numpy (pure-python kernels)")
-    if name == "stub":
-        return Backend("stub", stub_namespace(), "python",
-                       "numpy-masquerade test namespace")
     if name == "compiled":
         from . import compiled
         tier = compiled.tier()
-        return Backend("compiled", np, tier,
-                       f"best compiled tier ({tier})")
-    if name == "numba":
-        if not _numba_available():
-            raise _unavailable("numba", "the numba package is not "
-                               "installed")
-        from . import compiled
-        if not compiled.numba_tier_ready():
-            raise _unavailable("numba", "numba is installed but its "
-                               "kernels failed to compile")
-        return Backend("numba", np, "numba", "numba @njit kernels")
-    if name == "cext":
-        from . import _cext
-        if not _cext.compiler_available():
-            raise _unavailable("cext", "no C compiler (cc/gcc/clang) "
-                               "on PATH")
-        if _cext.load() is None:
-            raise _unavailable("cext",
-                               f"C build failed: {_cext.load_error()}")
-        return Backend("cext", np, "cext",
-                       "runtime-compiled C kernels")
-    if name == "cupy":
-        mod = _probe_module("cupy")
-        if mod is None:
-            raise _unavailable("cupy", "the cupy package is not "
-                               "installed")
-        return Backend("cupy", mod, "python", "cupy array namespace")
-    # name == "jax"
-    mod = _probe_module("jax")
-    if mod is None:
-        raise _unavailable("jax", "the jax package is not installed")
-    import jax.numpy as jnp
-    return Backend("jax", jnp, "python", "jax.numpy array namespace")
+        return Backend("compiled", tier, f"best compiled tier ({tier})")
+    # name == "cext"
+    from . import _cext
+    if not _cext.compiler_available():
+        raise _unavailable("cext", "no C compiler (cc/gcc/clang) on PATH")
+    if _cext.load() is None:
+        raise _unavailable("cext", f"C build failed: {_cext.load_error()}")
+    return Backend("cext", "cext", "runtime-compiled C kernels")
 
 
 # ---------------------------------------------------------------------
@@ -310,13 +200,10 @@ def fs_kernels_active() -> bool:
     """Should ``pick_kernel(method="auto")`` route the large-``n``
     Fair Share paths to the compiled kernels?
 
-    True only when the active backend both carries a live compiled
-    tier *and* uses real numpy arrays (the C/numba kernels read host
-    memory).  Under the default numpy backend this is False, so the
-    pre-backend behaviour is untouched.
+    True only when the active backend carries the live compiled tier.
+    Under the default numpy backend this is False.
     """
-    backend = active()
-    if not (backend.compiled and backend.is_numpy):
+    if not active().compiled:
         return False
     from . import compiled
     return compiled.fs_available()

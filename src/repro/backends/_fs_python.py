@@ -5,16 +5,10 @@ numpy ``method="sorted"`` pipelines in :mod:`repro.core.fairshare`
 (:func:`~repro.core.fairshare.FairShare.queue_lengths_batch` and
 :func:`~repro.core.fairshare.cumulative_loads_batch`) and
 :mod:`repro.core.signals` (:func:`~repro.core.signals.
-individual_congestion_batch`).  They exist for two reasons:
-
-* they are written in the numba-``@njit``-compatible subset (plain
-  loops, ``np.argsort(kind="mergesort")``, no fancy indexing), so
-  :mod:`repro.backends.compiled` can wrap them with ``numba.njit``
-  when numba is installed — that wrapped object *is* the numba kernel
-  tier; and
-* un-jitted they are executable reference implementations the unit
-  tests can diff against both the numpy pipeline and the C extension
-  without any optional dependency installed.
+individual_congestion_batch`) in plain loops (``np.argsort(
+kind="mergesort")``, no fancy indexing), the same form as the C twin in
+``_cext.py``.  They are executable reference implementations the unit
+tests diff against both the numpy pipeline and the C extension.
 
 Bit-identity notes (shared with the C twin in ``_cext.py``):
 

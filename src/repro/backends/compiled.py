@@ -1,21 +1,19 @@
 """Compiled-kernel tier selection and dispatch.
 
 One question, answered once per process: which implementation serves
-the compiled hot paths?  ``numba`` (``@njit``-wrapped loop twins from
-:mod:`repro.backends._fs_python`) when numba is importable and its
-kernels compile; otherwise the runtime-built C extension
-(:mod:`repro.backends._cext`) when a C compiler exists; otherwise
+the compiled hot paths?  The runtime-built C extension
+(:mod:`repro.backends._cext`) when a C compiler exists — it serves
+both the Fair Share kernels and the FIFO event loop — and otherwise
 ``python``, meaning callers keep using the existing pure-python/numpy
-kernels unchanged.  The FIFO event loop is served by the C extension
-only — numba cannot drive the heap/pool/RNG trampoline — so
-:func:`fifo_lib` is independent of the Fair Share tier.
+kernels unchanged.  :mod:`repro.backends._fs_python` holds the plain
+loop twins of the C Fair Share kernels, the reference the tests diff
+them against.
 
 Observability: :data:`METRICS` carries per-phase
 :class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
-(actual C build time, zero on a cache hit), ``compile.numba`` (JIT
-warmup of the Fair Share twins), and ``run.fifo`` (steady-state time
-inside the compiled event loop) — so ``BENCH_compiled.json`` can
-separate warmup from throughput.
+(actual C build time, zero on a cache hit) and ``run.fifo``
+(steady-state time inside the compiled event loop) — so
+``BENCH_compiled.json`` can separate warmup from throughput.
 """
 
 from __future__ import annotations
@@ -24,14 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import _cext, _fs_python
+from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
-           "numba_tier_ready", "fs_queue_batch", "fs_loads_batch",
-           "ind_congestion_batch", "warmup"]
+           "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
+           "warmup"]
 
-_TIER: Optional[str] = None
-_NUMBA_KERNELS = None
 _METRICS = None
 
 
@@ -45,53 +41,10 @@ def metrics():
     return _METRICS
 
 
-def _try_numba():
-    """Compile the numba tier; returns the jitted kernels or None."""
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is not None:
-        return _NUMBA_KERNELS
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        with metrics().timer("compile.numba").time():
-            jit = numba.njit(cache=False, fastmath=False)
-            kernels = {
-                "fs_queue_batch": jit(_fs_python.fs_queue_batch),
-                "fs_loads_batch": jit(_fs_python.fs_loads_batch),
-                "ind_congestion_batch":
-                    jit(_fs_python.ind_congestion_batch),
-            }
-            # Force compilation now so "compile" time is not smeared
-            # into the first measured run.
-            probe = np.array([[0.25, 0.5, 0.125]])
-            out = np.empty_like(probe)
-            kernels["fs_queue_batch"](probe, 1.0, out)
-            kernels["fs_loads_batch"](np.sort(probe, axis=1), 1.0, out)
-            kernels["ind_congestion_batch"](probe, out)
-    except Exception:
-        return None
-    _NUMBA_KERNELS = kernels
-    return kernels
-
-
-def numba_tier_ready() -> bool:
-    """numba is importable *and* the kernels actually compiled."""
-    return _try_numba() is not None
-
-
 def tier() -> str:
-    """The best live tier: ``"numba"`` > ``"cext"`` > ``"python"``."""
-    global _TIER
-    if _TIER is None:
-        if _try_numba() is not None:
-            _TIER = "numba"
-        elif _cext.load() is not None:
-            _TIER = "cext"
-        else:
-            _TIER = "python"
-    return _TIER
+    """The live tier: ``"cext"`` when the C extension builds, else
+    ``"python"``."""
+    return "cext" if _cext.load() is not None else "python"
 
 
 def fs_available() -> bool:
@@ -100,21 +53,15 @@ def fs_available() -> bool:
 
 
 def fifo_lib():
-    """The C library serving the FIFO event loop, or None.
-
-    Independent of :func:`tier`: even under the numba tier the event
-    loop runs through the C extension (numba has no story for the
-    heap/pool/RNG resume trampoline), so this is simply "the cext
-    built" — with the pure-python ``_run_fifo`` as the graceful
-    fallback when it did not.
-    """
+    """The C library serving the FIFO event loop, or None (the
+    pure-python ``_run_fifo`` is the graceful fallback)."""
     return _cext.load()
 
 
 def warmup() -> str:
     """Force tier resolution (and any compilation); returns the tier."""
     t = tier()
-    if _cext.load() is not None and not _cext.built_from_cache():
+    if t == "cext" and not _cext.built_from_cache():
         reg = metrics()
         timer = reg.timer("compile.cext")
         if timer.count == 0:
@@ -131,9 +78,6 @@ def fs_queue_batch(rates: np.ndarray,
     live (caller falls back to the numpy ``sorted`` pipeline)."""
     r = np.ascontiguousarray(rates, dtype=np.float64)
     out = np.empty_like(r)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["fs_queue_batch"](r, float(mu), out)
     return _cext.fs_queue_batch(r, float(mu), out)
 
 
@@ -142,9 +86,6 @@ def fs_loads_batch(sorted_rates: np.ndarray,
     """Compiled cumulative loads over pre-sorted rows, or None."""
     r = np.ascontiguousarray(sorted_rates, dtype=np.float64)
     out = np.empty_like(r)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["fs_loads_batch"](r, float(mu), out)
     return _cext.fs_loads_batch(r, float(mu), out)
 
 
@@ -152,7 +93,4 @@ def ind_congestion_batch(queues: np.ndarray) -> Optional[np.ndarray]:
     """Compiled individual-congestion prefix sums, or None."""
     q = np.ascontiguousarray(queues, dtype=np.float64)
     out = np.empty_like(q)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["ind_congestion_batch"](q, out)
     return _cext.ind_congestion_batch(q, out)

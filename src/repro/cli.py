@@ -33,10 +33,9 @@ Commands:
   bit-identical); exits nonzero when any leg fails.
 
 ``selftest``, ``fuzz`` and ``scale`` also take ``--backend NAME`` (or
-honour the ``REPRO_BACKEND`` environment variable) to pick the array /
-compiled-kernel backend for the run; unknown or unavailable names fail
-loudly with the list of available backends and an install hint (see
-:mod:`repro.backends`).
+honour the ``REPRO_BACKEND`` environment variable) to pick the kernel
+backend for the run; unknown or unavailable names fail loudly with the
+list of backends (see :mod:`repro.backends`).
 
 ``run`` also takes ``--faults SPEC`` (inject a seeded fault plan, e.g.
 ``loss=0.3,delay=2,seed=7`` — see :func:`repro.faults.parse_fault_spec`)
@@ -106,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     t1_p.add_argument("--mu", type=float, default=1.5,
                       help="gateway service rate")
 
-    backend_help = ("array/kernel backend (see repro.backends): "
-                    "numpy, compiled, numba, cext, cupy, jax, or stub; "
-                    "default: $REPRO_BACKEND or numpy")
+    backend_help = ("kernel backend (see repro.backends): numpy, "
+                    "compiled, or cext; default: $REPRO_BACKEND or "
+                    "numpy")
 
     selftest_p = sub.add_parser(
         "selftest", help="fast batch-engine smoke check (< 30 s)")

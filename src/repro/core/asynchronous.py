@@ -35,31 +35,27 @@ sweeps the clock-heterogeneity dial.
 
 Determinism contract: every built-in schedule's participation mask is
 a **pure function of (seed, step)** — no schedule object carries
-mutable stream state — so scalar runs, batched ensembles, and blocked
+mutable stream state — so single runs, batched ensembles, and blocked
 ensembles all see identical masks regardless of call history.  The
-batched engine, :func:`run_async_ensemble`, evolves an ``(M, N)``
-ensemble under one schedule (or one schedule per member) with a
-delayed-signal ring buffer, and member ``m`` reproduces the scalar
-:class:`AsynchronousRunner` path bit-exactly.
+engine, :func:`run_async_ensemble`, evolves an ``(M, N)`` ensemble
+under one schedule (or one schedule per member) with a delayed-signal
+ring buffer; :class:`AsynchronousRunner` runs its one-row case, and
+member ``m`` of an M-row run equals the one-row run bit-exactly.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import time
-from collections import deque
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import RateVectorError, SweepError
-from ..observability import RunRecord, emit_run_record, is_collecting
 from .delays import round_trip_delays_batch
-from .dynamics import EnsembleResult, FlowControlSystem, Outcome, \
-    Trajectory, _detect_period, _resolve_block_size, _resolve_history
-from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative, \
-    sup_norm
+from .dynamics import EnsembleResult, FlowControlSystem, Trajectory, \
+    _drive, _resolve_block_size, _resolve_history, _row_trajectory
+from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative
 
 __all__ = [
     "UpdateSchedule",
@@ -165,7 +161,7 @@ class ClockModel(abc.ABC):
     (phase offsets, slow/fast assignment, burst offsets) is drawn from
     ``default_rng([seed, i])`` so source ``i``'s clock is a pure
     function of ``(seed, i)``: adding or removing other sources never
-    reshuffles an existing source's clock, and scalar/batched/blocked
+    reshuffles an existing source's clock, and single/batched/blocked
     runs all agree bit-exactly.
 
     Wrap a model in :class:`ClockSchedule` to drive
@@ -375,7 +371,7 @@ class ClockSchedule(UpdateSchedule):
     At step ``t`` source ``i`` ticks iff ``u_i < rate_i(t)`` where the
     coin vector ``u`` is drawn from ``default_rng([seed, step])`` —
     the same counter-based contract as :class:`BernoulliSchedule`, so
-    masks are a pure function of ``(seed, step)`` and scalar, batched,
+    masks are a pure function of ``(seed, step)`` and single, batched,
     and blocked runs all see identical schedules.
     """
 
@@ -424,50 +420,16 @@ class AsynchronousRunner:
         delay pipeline (otherwise a stale congestion spike still in
         the buffer could pin the rates just long enough to fake a
         fixed point).
+
+        The M=1 row of :func:`run_async_ensemble` with its full
+        history kept; an early exit trims the history with a copy.
         """
-        n = self.system.network.num_connections
-        r = as_rate_vector(initial, n=n)
-        sweep = self.schedule.steps_per_sweep(n)
-        if settle is None:
-            settle = 2 * sweep + self.signal_delay + 3
-        buffer = deque([r.copy()] * (self.signal_delay + 1),
-                       maxlen=self.signal_delay + 1)
-        history = [r.copy()]
-        quiet = 0
-        limit = (FlowControlSystem.DIVERGENCE_FACTOR
-                 * max(self.system.network.mu(g)
-                       for g in self.system.network.gateway_names))
-        for step in range(1, max_steps + 1):
-            stale = buffer[0]
-            b = self.system.signals(stale)
-            d = self.system.delays(stale)
-            mask = self.schedule.participants(step - 1, n)
-            r_next = r.copy()
-            for i in np.nonzero(mask)[0]:
-                rule = self.system.rules[i]
-                r_next[i] = rule.apply(float(r[i]), float(b[i]),
-                                       float(d[i]))
-            r_next = clip_nonnegative(r_next)
-            history.append(r_next.copy())
-            buffer.append(r_next.copy())
-            if not np.all(np.isfinite(r_next)) or np.any(r_next > limit):
-                return Trajectory(np.array(history), Outcome.DIVERGED,
-                                  None, step)
-            change = sup_norm(r_next, r)
-            scale = max(1.0, float(np.max(r_next)))
-            if change <= tol * scale:
-                quiet += 1
-                if quiet >= settle:
-                    return Trajectory(np.array(history),
-                                      Outcome.CONVERGED, 1, step)
-            else:
-                quiet = 0
-            r = r_next
-        arr = np.array(history)
-        period = _detect_period(arr, max_period, tol)
-        if period is not None:
-            return Trajectory(arr, Outcome.OSCILLATING, period, max_steps)
-        return Trajectory(arr, Outcome.UNDECIDED, None, max_steps)
+        r = as_rate_vector(initial, n=self.system.network.num_connections)
+        return _row_trajectory(run_async_ensemble(
+            self.system, r[np.newaxis], schedule=self.schedule,
+            signal_delay=self.signal_delay, max_steps=max_steps, tol=tol,
+            settle=settle, max_period=max_period, history="full"),
+            max_steps)
 
     def is_steady_state(self, rates: Sequence[float],
                         tol: float = 1e-9) -> bool:
@@ -492,17 +454,17 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                        history: Optional[str] = None) -> EnsembleResult:
     """Evolve an ``(M, N)`` ensemble under asynchronous updates.
 
-    The batched counterpart of :class:`AsynchronousRunner`: all M
-    members advance through one vectorised step per schedule tick —
-    signals and delays are computed from the rate vectors
-    ``signal_delay`` steps in the past (a ``(tau + 1, M, N)`` ring
-    buffer), the scheduled connection columns apply their rules via
-    the grouped ``apply_batch`` path (reusing the system's ``xp``
-    array-backend seam), and unscheduled columns hold their rates.
-    Member ``m`` reproduces
-    ``AsynchronousRunner(system, schedule, signal_delay)
-    .run(initials[m], ...)`` bit-exactly in finals, outcomes, steps,
-    and periods.
+    The asynchronous engine (:class:`AsynchronousRunner` runs its
+    one-row case): all M members advance through one vectorised step
+    per schedule tick — signals and delays are computed from the rate
+    vectors ``signal_delay`` steps in the past (a ``(tau + 1, M, N)``
+    ring buffer), the scheduled connection columns apply their rules
+    via the grouped ``apply_batch`` path, and unscheduled columns hold
+    their rates.  Convergence, divergence and period classification
+    are :meth:`FlowControlSystem.run_ensemble`'s own driver.  Rows are
+    independent: member ``m`` of an M-row run equals the one-row run
+    of ``initials[m]`` under the same schedule bit-exactly in finals,
+    outcomes, steps, and periods.
 
     ``schedule`` is one :class:`UpdateSchedule` shared by every member
     (default: synchronous), or a length-M sequence giving each member
@@ -512,8 +474,8 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     do); stateful schedules would break blocked bit-identity.
 
     ``settle=None`` resolves per member to
-    ``2 * steps_per_sweep + signal_delay + 3`` quiet steps, matching
-    the scalar runner's full-quiet-sweep contract.
+    ``2 * steps_per_sweep + signal_delay + 3`` quiet steps (the
+    full-quiet-sweep contract of :meth:`AsynchronousRunner.run`).
 
     ``record`` / ``history`` / ``block_size`` / ``telemetry`` follow
     :meth:`FlowControlSystem.run_ensemble` exactly: the same retention
@@ -538,7 +500,6 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     r0 = as_rate_matrix(initials, n=n)
     m_total = r0.shape[0]
     history = _resolve_history(record, history)
-    record = history == "full"
     block = _resolve_block_size(block_size, m_total)
     tau = int(signal_delay)
 
@@ -572,213 +533,46 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     else:
         settle_arr = np.full(m_total, int(settle), dtype=int)
 
-    limit = FlowControlSystem.DIVERGENCE_FACTOR * system._mu_max
-    if telemetry is None:
-        telemetry = is_collecting()
-    rec = RunRecord.begin(
-        "async_ensemble", m_total, n, max_steps, tol,
-        int(np.max(settle_arr)) if m_total else 0) if telemetry else None
-    n_blocks = -(-m_total // block) if m_total else 0
-    if rec is not None:
-        rec.n_blocks = max(n_blocks, 1)
-        rec.block_size = block if block_size is not None else None
+    def stepper(base, end):
+        # Delayed-signal ring: slot s % (tau + 1) holds the state of
+        # time s, so the slot about to be overwritten at step t holds
+        # exactly the tau-stale state the signals must read.  All slots
+        # start at the initial condition; rows are compressed alongside
+        # the live states.
+        ring = np.tile(r0[np.newaxis, base:end], (tau + 1, 1, 1))
 
-    outcomes: List[Outcome] = [Outcome.UNDECIDED] * m_total
-    periods: List[Optional[int]] = [None] * m_total
-    steps = np.full(m_total, 0, dtype=int)
-    finals = r0.copy()
+        def step(r, idx, t):
+            slot = t % (tau + 1)
+            stale = ring[slot]
+            b = system.scheme.signals_batch(stale)
+            d = round_trip_delays_batch(system.network, system.discipline,
+                                        stale)
+            if shared is not None:
+                mask = shared.participants(t - 1, n)
+                r_next = r.copy()
+                for rule, cols in system._rule_groups:
+                    cm = cols[mask[cols]]
+                    if cm.size:
+                        r_next[:, cm] = rule.apply_batch(
+                            r[:, cm], b[:, cm], d[:, cm])
+                r_next = clip_nonnegative(r_next)
+            else:
+                mask_mat = np.stack(
+                    [schedules[base + m].participants(t - 1, n)
+                     for m in idx])
+                r_next = clip_nonnegative(
+                    np.where(mask_mat, system._apply_rules(r, b, d), r))
+            ring[slot] = r_next
+            return r_next
 
-    if m_total == 0:
-        if rec is not None:
-            rec.finish(0, {})
-            emit_run_record(rec)
-        return EnsembleResult(finals=finals, outcomes=outcomes,
-                              periods=periods, steps=steps,
-                              initials=r0,
-                              histories=[] if record else None,
-                              telemetry=rec,
-                              history_policy=history,
-                              block_size=None)
-
-    histories: Optional[List[Optional[np.ndarray]]] = \
-        [None] * m_total if record else None
-    mask_events: List[tuple] = []
-    timings = {"step": 0.0, "classify": 0.0, "period": 0.0}
-    totals = {"converged": 0, "diverged": 0, "period_ran": 0}
-    for base in range(0, m_total, block):
-        _run_async_block(
-            system, r0, base, min(base + block, m_total), shared,
-            schedules, tau, max_steps, tol, settle_arr, max_period,
-            limit, history, rec, outcomes, periods, steps, finals,
-            histories, mask_events, timings, totals)
-
-    mask_events.sort(key=lambda e: (e[0], e[1]))
-    if rec is not None:
-        for step_count, member, kind in mask_events:
-            rec.observe_mask_event(step_count, member, kind)
-        if totals["period_ran"]:
-            rec.add_phase("period_detection", timings["period"])
-        rec.add_phase("step_batch", timings["step"])
-        rec.add_phase("classify", timings["classify"])
-        counts: dict = {}
-        for o in outcomes:
-            counts[o.value] = counts.get(o.value, 0) + 1
-        rec.finish(int(np.max(steps)) if m_total else 0, counts)
-        emit_run_record(rec)
-    return EnsembleResult(finals=finals, outcomes=outcomes,
-                          periods=periods, steps=steps,
-                          initials=r0, histories=histories,
-                          telemetry=rec,
-                          history_policy=history,
-                          block_size=(block if block_size is not None
-                                      else None))
-
-
-def _run_async_block(system, r0, base, end, shared, schedules, tau,
-                     max_steps, tol, settle_arr, max_period, limit,
-                     history, rec, outcomes, periods, steps, finals,
-                     histories, mask_events, timings, totals):
-    """Evolve members ``base:end`` asynchronously; write results in place.
-
-    The asynchronous sibling of
-    :meth:`FlowControlSystem._run_ensemble_block`: the same compressed
-    still-iterating index array, rolling period-detection tail, and
-    absolute-index result writes, plus the delayed-signal ring buffer
-    (state at time ``s`` lives in slot ``s % (tau + 1)``, so the slot
-    about to be overwritten at step ``t`` holds exactly the
-    ``tau``-stale state the signals must read) and the per-step
-    participation masks.
-    """
-    xp = system.xp
-    kw = {} if xp is np else {"xp": xp}
-    mb = end - base
-    n = r0.shape[1]
-    tcap = min(4 * max_period, max_steps + 1)
-    tail = None
-    if history != "none":
-        tail = np.zeros((mb, tcap, n), dtype=float)
-        tail[:, 0] = r0[base:end]
-    full = None
-    if history == "full":
-        full = np.empty((mb, max_steps + 1, n))
-        full[:, 0] = r0[base:end]
-    quiet = np.zeros(mb, dtype=int)
-    settle_blk = settle_arr[base:end]
-
-    idx = np.arange(mb)           # block members still iterating
-    r = r0[base:end].copy()       # their current states, compressed
-    # Delayed-signal ring: slot s % (tau + 1) holds the state of time
-    # s; all slots start at the initial condition, matching the scalar
-    # runner's pre-filled deque.  Rows are compressed alongside r.
-    ring = np.tile(r[np.newaxis], (tau + 1, 1, 1))
-    for step_count in range(1, max_steps + 1):
-        if rec is not None:
-            t0 = time.perf_counter()
-        slot = step_count % (tau + 1)
-        stale = ring[slot]
-        b = system.scheme.signals_batch(stale, **kw)
-        d = round_trip_delays_batch(system.network, system.discipline,
-                                    stale, xp=xp)
-        if shared is not None:
-            mask = shared.participants(step_count - 1, n)
-            r_next = r.copy()
-            for rule, cols in system._rule_groups:
-                cm = cols[mask[cols]]
-                if cm.size:
-                    r_next[:, cm] = rule.apply_batch(
-                        r[:, cm], b[:, cm], d[:, cm], **kw)
-        else:
-            mask_mat = np.stack(
-                [schedules[base + m].participants(step_count - 1, n)
-                 for m in idx])
-            new = xp.empty_like(r)
-            for rule, cols in system._rule_groups:
-                new[:, cols] = rule.apply_batch(r[:, cols], b[:, cols],
-                                                d[:, cols], **kw)
-            r_next = xp.where(mask_mat, new, r)
-        r_next = clip_nonnegative(r_next, xp=xp)
-        ring[slot] = r_next
-        if rec is not None:
-            timings["step"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-        if tail is not None:
-            tail[idx, step_count % tcap] = r_next
-        if full is not None:
-            full[idx, step_count] = r_next
-
-        finite = np.all(np.isfinite(r_next), axis=1)
-        with np.errstate(invalid="ignore"):
-            diverged = ~finite | np.any(r_next > limit, axis=1)
-            change = np.max(np.abs(r_next - r), axis=1)
-            scale = np.maximum(1.0, np.max(r_next, axis=1))
-            within = change <= tol * scale
-        quiet_next = np.where(within, quiet[idx] + 1, 0)
-        quiet[idx] = quiet_next
-        converged = (quiet_next >= settle_blk[idx]) & ~diverged
-        done = diverged | converged
-
-        if np.any(done):
-            done_members = idx[done]
-            finals[base + done_members] = r_next[done]
-            steps[base + done_members] = step_count
-            for m, is_div in zip(done_members, diverged[done]):
-                member = base + int(m)
-                if is_div:
-                    outcomes[member] = Outcome.DIVERGED
-                    totals["diverged"] += 1
-                else:
-                    outcomes[member] = Outcome.CONVERGED
-                    periods[member] = 1
-                    totals["converged"] += 1
-                mask_events.append(
-                    (step_count, member,
-                     "diverged" if is_div else "converged"))
-            keep = ~done
-            idx = idx[keep]
-            r = r_next[keep]
+        def drop(keep):
+            nonlocal ring
             ring = ring[:, keep]
-            if rec is not None:
-                finite_changes = change[keep][np.isfinite(change[keep])]
-                rec.observe_iteration(
-                    float(np.max(finite_changes))
-                    if finite_changes.size else math.inf,
-                    int(idx.size), totals["converged"],
-                    totals["diverged"])
-                timings["classify"] += time.perf_counter() - t0
-            if idx.size == 0:
-                break
-        else:
-            r = r_next
-            if rec is not None:
-                rec.observe_iteration(float(np.max(change)),
-                                      int(idx.size),
-                                      totals["converged"],
-                                      totals["diverged"])
-                timings["classify"] += time.perf_counter() - t0
-    else:
-        # Members that exhausted the step budget: reconstruct the
-        # ordered tail from the ring buffer and look for a cycle
-        # (skipped — UNDECIDED — under history="none").
-        finals[base + idx] = r
-        steps[base + idx] = max_steps
-        if tail is not None:
-            if rec is not None:
-                t0 = time.perf_counter()
-            start = ((max_steps + 1) % tcap
-                     if max_steps + 1 > tcap else 0)
-            for m in idx:
-                ordered = np.roll(tail[m], -start, axis=0)
-                period = _detect_period(ordered, max_period, tol,
-                                        total_len=max_steps + 1)
-                if period is not None:
-                    outcomes[base + m] = Outcome.OSCILLATING
-                    periods[base + m] = period
-            if rec is not None:
-                timings["period"] += time.perf_counter() - t0
-                totals["period_ran"] += 1
+        return step, drop
 
-    if full is not None:
-        # Views, not copies: each member's trajectory window into the
-        # block buffer (see EnsembleResult.histories).
-        for m in range(mb):
-            histories[base + m] = full[m, :steps[base + m] + 1]
+    return _drive("async_ensemble", r0, stepper, settle=settle_arr,
+                  max_steps=max_steps, tol=tol, max_period=max_period,
+                  limit=FlowControlSystem.DIVERGENCE_FACTOR
+                  * system._mu_max,
+                  history=history, block=block,
+                  blocked=block_size is not None, telemetry=telemetry)

@@ -8,17 +8,21 @@ is the subject of the robustness results).  One synchronous step is
     ``r_i <- max(0, r_i + f_i(r_i, b_i(r), d_i(r)))``
 
 with queue lengths assumed instantly equilibrated to the current rates,
-as in the model.  :meth:`FlowControlSystem.run` iterates the map,
-records the trajectory, and classifies the outcome as converged,
-oscillating (a small-period limit cycle), diverged, or undecided.
+as in the model.
 
-The batch engine — :meth:`FlowControlSystem.step_batch` and
-:meth:`FlowControlSystem.run_ensemble` — iterates an ``(M, N)`` array
-of M rate vectors through the *same* map simultaneously: every stage
+There is one engine.  :meth:`FlowControlSystem.step_batch` applies the
+map to an ``(M, N)`` array of M rate vectors at once — every stage
 (queue laws, congestion measures, signal function, rate rules) is
-vectorised across the ensemble axis, and members that converge or
-diverge are masked out so finished trajectories stop costing work.
-Row ``m`` of the batched run reproduces ``run(initials[m])`` exactly.
+vectorised across the ensemble axis — and
+:meth:`FlowControlSystem.run_ensemble` iterates it, masking out members
+that converge or diverge so finished trajectories stop costing work,
+and classifies each member as converged, oscillating (a small-period
+limit cycle), diverged, or undecided.  The single-trajectory entry
+points are its one-row case: :meth:`~FlowControlSystem.step` is row 0
+of a one-row ``step_batch`` and :meth:`~FlowControlSystem.run` is the
+M=1 row of ``run_ensemble`` with its full history kept.  Rows never
+interact, so row ``m`` of an M-row run equals the one-row run of the
+same start bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ def ensemble_buffer_bytes(n_members: int, n_connections: int,
     """Bytes of trajectory buffers ``run_ensemble`` preallocates.
 
     Covers the dominant allocations — the ``(M, tcap, N)`` rolling tail
-    (``tcap = min(4 * max_period, max_steps + 1)``), the
-    ``(M, max_steps + 1, N)`` full-history buffer under
-    ``history="full"``, and the ``(M, N)`` finals / initial copies —
+    under ``history="tail"`` (``tcap = min(4 * max_period,
+    max_steps + 1)``), the ``(M, max_steps + 1, N)`` full-history
+    buffer under ``history="full"`` (period detection reads it
+    directly), and the ``(M, N)`` finals / initial copies —
     not the transient per-step working set, which scales with
     ``block_size * N`` rather than M.  Use it to choose a ``block_size``
     before committing to a million-member run: the tail and full
@@ -79,11 +84,9 @@ def ensemble_buffer_bytes(n_members: int, n_connections: int,
     tcap = min(4 * max_period, max_steps + 1)
     if history == "none":
         return base
-    tail = n_members * tcap * n_connections * itemsize
     if history == "tail":
-        return base + tail
-    full = n_members * (max_steps + 1) * n_connections * itemsize
-    return base + tail + full
+        return base + n_members * tcap * n_connections * itemsize
+    return base + n_members * (max_steps + 1) * n_connections * itemsize
 
 
 class Outcome(enum.Enum):
@@ -203,7 +206,7 @@ class EnsembleResult:
         return counts
 
     def trajectory(self, m: int) -> Trajectory:
-        """Member ``m`` as a scalar-path :class:`Trajectory`.
+        """Member ``m`` as a :class:`Trajectory`.
 
         Requires the ensemble to have been run with ``record=True``.
         """
@@ -226,20 +229,7 @@ class FlowControlSystem:
                  rules: Union[RateAdjustment, Sequence[RateAdjustment]],
                  style: FeedbackStyle = FeedbackStyle.INDIVIDUAL,
                  weights=None,
-                 controller: Optional[RcpController] = None,
-                 backend=None):
-        # ``backend`` pins the array backend of the batch engine: a
-        # name (resolved through repro.backends.resolve, loud on
-        # unknown/unavailable), a Backend object, or None for the
-        # session's active backend (numpy unless selected otherwise).
-        from .. import backends as _backends
-        if backend is None:
-            self._backend = _backends.active()
-        elif isinstance(backend, _backends.Backend):
-            self._backend = backend
-        else:
-            self._backend = _backends.resolve(backend)
-        self._xp = self._backend.xp
+                 controller: Optional[RcpController] = None):
         self.network = network
         self.discipline = discipline
         self.scheme = FeedbackScheme(network, discipline, signal_fn, style,
@@ -254,9 +244,9 @@ class FlowControlSystem:
                     f"need one rule per connection: got {len(self.rules)} "
                     f"rules for {n} connections")
         self._mu_max = max(network.mu(g) for g in network.gateway_names)
-        # Batch path: group connection columns by rule object so each
-        # distinct rule is applied once per step over all its columns
-        # (heterogeneous configurations stay fully vectorised).
+        # Group connection columns by rule object so each distinct rule
+        # is applied once per step over all its columns (heterogeneous
+        # configurations stay fully vectorised).
         groups: List[tuple] = []
         seen: dict = {}
         for i, rule in enumerate(self.rules):
@@ -312,16 +302,6 @@ class FlowControlSystem:
         """True when every connection runs the same rule object."""
         return all(rule is self.rules[0] for rule in self.rules)
 
-    @property
-    def backend(self):
-        """The :class:`~repro.backends.Backend` the batch engine uses."""
-        return self._backend
-
-    @property
-    def xp(self):
-        """The array namespace of :attr:`backend`."""
-        return self._xp
-
     # ------------------------------------------------------------------
     # observables
     # ------------------------------------------------------------------
@@ -338,14 +318,15 @@ class FlowControlSystem:
     # ------------------------------------------------------------------
     def step(self, rates: np.ndarray, faults=None,
              step_index: int = 1, structural=None) -> np.ndarray:
-        """One synchronous application of ``F``.
+        """One synchronous application of ``F``: row 0 of a one-row
+        :meth:`step_batch`.
 
         ``faults`` (a :class:`~repro.faults.FaultState`, obtained from
         :meth:`FaultPlan.start <repro.faults.FaultPlan.start>`)
         perturbs the signal vector the rules observe at this step;
         ``step_index`` is the 1-based step number the injectors see.
         With ``faults=None`` the computation is exactly the fault-free
-        map — no extra work, bit-identical results.
+        map.
 
         ``structural`` (a
         :class:`~repro.chaos.structural.StructuralFaultState`, obtained
@@ -366,24 +347,10 @@ class FlowControlSystem:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled")
         r = as_rate_vector(rates, n=self.network.num_connections)
-        if structural is not None:
-            view = structural.resolve(step_index)
-            b = view.scheme.signals(r)
-            if view.blackholed.size:
-                b[view.blackholed] = 1.0
-        else:
-            b = self.signals(r)
-        if faults is not None:
-            b = faults.apply(step_index, b)
-        if structural is not None:
-            d = round_trip_delays(view.network, self.discipline, r)
-        else:
-            d = self.delays(r)
-        new = np.array([
-            rule.apply(float(r[i]), float(b[i]), float(d[i]))
-            for i, rule in enumerate(self.rules)
-        ])
-        return clip_nonnegative(new)
+        return self.step_batch(
+            r[np.newaxis], step_index=step_index,
+            faults=None if faults is None else [faults],
+            structural=None if structural is None else [structural])[0]
 
     def step_batch(self, rates: np.ndarray, faults=None, members=None,
                    step_index: int = 1, structural=None) -> np.ndarray:
@@ -391,15 +358,15 @@ class FlowControlSystem:
 
         ``rates`` is an ``(M, N)`` array of M independent rate vectors
         (a single vector is promoted to a one-row batch); the result has
-        the same shape and satisfies
-        ``step_batch(R)[m] == step(R[m])`` for every row.
+        the same shape, and every stage is row-independent, so row
+        ``m`` does not depend on the other rows.
 
         ``faults`` is a sequence of per-member
         :class:`~repro.faults.FaultState` s indexed by *absolute*
         member number; ``members`` maps each row of ``rates`` to its
         member number (defaults to row order).  Each row's signal
         vector is perturbed by its own member state, so fault streams
-        stay aligned with the scalar path even when finished members
+        stay aligned with their members even when finished members
         have been masked out of the batch.
 
         ``structural`` is likewise a sequence of per-member
@@ -407,52 +374,47 @@ class FlowControlSystem:
         by absolute member number.  Rows are grouped by their resolved
         damage signature and each group's signals and delays are
         computed on that group's degraded network in one vectorised
-        pass — equal signatures build bit-identical schemes, and every
-        per-row stage is row-independent, so grouping preserves
-        ``step_batch(R)[m] == step(R[m], structural=state_m)`` exactly.
+        pass — equal signatures build bit-identical schemes, so
+        grouping keeps every row independent of the others.
         """
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled_batch")
-        xp = self._xp
-        # The xp namespace is only forwarded off the numpy default, so
-        # overridable collaborators predating the parameter keep
-        # working (the conditional-kwarg seam pattern).
-        kw = {} if xp is np else {"xp": xp}
         r = as_rate_matrix(rates, n=self.network.num_connections)
+        rows = members if members is not None else range(r.shape[0])
         if structural is None:
-            b = self.scheme.signals_batch(r, **kw)
+            b = self.scheme.signals_batch(r)
+            d = round_trip_delays_batch(self.network, self.discipline, r)
         else:
-            rows_m = (list(members) if members is not None
-                      else list(range(r.shape[0])))
-            views = [structural[m].resolve(step_index) for m in rows_m]
             groups: dict = {}
-            for row, view in enumerate(views):
+            for row, m in enumerate(rows):
+                view = structural[m].resolve(step_index)
                 groups.setdefault(view.key, (view, []))[1].append(row)
             b = np.empty_like(r)
             d = np.empty_like(r)
             for view, row_list in groups.values():
                 sel = np.asarray(row_list, dtype=np.intp)
                 sub = r[sel]
-                bs = view.scheme.signals_batch(sub, **kw)
+                bs = view.scheme.signals_batch(sub)
                 if view.blackholed.size:
                     bs[:, view.blackholed] = 1.0
                 b[sel] = bs
                 d[sel] = round_trip_delays_batch(view.network,
-                                                 self.discipline, sub,
-                                                 xp=xp)
+                                                 self.discipline, sub)
         if faults is not None:
-            rows = members if members is not None else range(r.shape[0])
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
-        if structural is None:
-            d = round_trip_delays_batch(self.network, self.discipline, r,
-                                        xp=xp)
-        new = xp.empty_like(r)
+        return self._apply_rules(r, b, d)
+
+    def _apply_rules(self, r: np.ndarray, b: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+        """Truncated rule updates ``max(0, r + f(r, b, d))`` per column
+        group, all rows at once."""
+        new = np.empty_like(r)
         for rule, cols in self._rule_groups:
             new[:, cols] = rule.apply_batch(r[:, cols], b[:, cols],
-                                            d[:, cols], **kw)
-        return clip_nonnegative(new, xp=xp)
+                                            d[:, cols])
+        return clip_nonnegative(new)
 
     def step_controlled(self, rates: np.ndarray,
                         state: np.ndarray) -> tuple:
@@ -462,30 +424,26 @@ class FlowControlSystem:
         ``self.bank.initial_state()``).  Returns ``(r_next,
         state_next)`` — gateways observe the offered rates, advance
         their advertised rates, and every source adopts the path
-        minimum.
+        minimum.  Row 0 of a one-row :meth:`step_controlled_batch`.
         """
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step")
         r = as_rate_vector(rates, n=self.network.num_connections)
-        state_next = self._bank.update(r, state)
-        return clip_nonnegative(self._bank.advertised(state_next)), \
-            state_next
+        r_next, state_next = self.step_controlled_batch(
+            r[np.newaxis], np.asarray(state, dtype=float)[np.newaxis])
+        return r_next[0], state_next[0]
 
     def step_controlled_batch(self, rates: np.ndarray,
                               state: np.ndarray) -> tuple:
         """Batched :meth:`step_controlled` over ``(M, N)`` rates and
-        ``(M, G)`` controller state; row ``m`` is bit-identical to the
-        scalar path."""
+        ``(M, G)`` controller state; rows are independent."""
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step_batch")
-        xp = self._xp
-        kw = {} if xp is np else {"xp": xp}
         r = as_rate_matrix(rates, n=self.network.num_connections)
-        state_next = self._bank.update_batch(r, state, **kw)
-        return clip_nonnegative(
-            self._bank.advertised_batch(state_next, **kw), xp=xp), \
+        state_next = self._bank.update_batch(r, state)
+        return clip_nonnegative(self._bank.advertised_batch(state_next)), \
             state_next
 
     def residual(self, rates: np.ndarray) -> np.ndarray:
@@ -510,20 +468,25 @@ class FlowControlSystem:
             structural=None) -> Trajectory:
         """Iterate the map from ``initial`` and classify the outcome.
 
-        Convergence requires ``settle`` consecutive steps with sup-norm
-        change below ``tol * max(1, |r|_inf)``.  After the step budget,
-        a limit cycle of period ``<= max_period`` is searched for in the
-        trajectory tail; finding one yields OSCILLATING, otherwise
-        UNDECIDED.  Any non-finite or absurdly large rate yields
-        DIVERGED immediately.
+        ``run`` is the one-member row of :meth:`run_ensemble`, recorded
+        in full: the same engine, the same classification, the same
+        bits.  Convergence requires ``settle`` consecutive steps with
+        sup-norm change below ``tol * max(1, |r|_inf)``.  After the
+        step budget, a limit cycle of period ``<= max_period`` is
+        searched for in the trajectory tail; finding one yields
+        OSCILLATING, otherwise UNDECIDED.  Any non-finite or absurdly
+        large rate yields DIVERGED immediately.  A run that exhausts
+        the budget returns its history buffer itself; an early exit
+        trims it with a copy so the trajectory does not pin
+        ``max_steps`` rows of memory.
 
         ``telemetry=None`` (the default) records a
-        :class:`~repro.observability.RunRecord` — per-iteration
-        residuals, mask events, wall time per phase — exactly when an
-        :func:`~repro.observability.collect` session is active; pass
-        ``True``/``False`` to force it on or off.  The record is
-        attached to the returned trajectory and emitted to any active
-        sessions.
+        :class:`~repro.observability.RunRecord` of kind ``"run"`` —
+        per-iteration residuals, mask events, wall time per phase —
+        exactly when an :func:`~repro.observability.collect` session is
+        active; pass ``True``/``False`` to force it on or off.  The
+        record is attached to the returned trajectory and emitted to
+        any active sessions.
 
         ``faults`` injects a :class:`~repro.faults.FaultPlan` into the
         feedback path: each step's signal vector is perturbed before
@@ -545,124 +508,10 @@ class FlowControlSystem:
         composes with a router-side controller.
         """
         r = as_rate_vector(initial, n=self.network.num_connections)
-        if self._bank is not None and faults is not None \
-                and not faults.empty:
-            raise SweepError(
-                "fault plans perturb the per-source signal path, which "
-                "controller-driven systems do not read; faults with a "
-                "controller are not supported")
-        if self._bank is not None and structural is not None \
-                and not structural.empty:
-            raise SweepError(
-                "structural fault plans damage the per-source "
-                "signal/delay path, which controller-driven systems "
-                "replace with router-side state; structural faults "
-                "with a controller are not supported")
-        ctrl = (self._bank.initial_state()
-                if self._bank is not None else None)
-        fault_state = (faults.start(network=self.network,
-                                    member=fault_member)
-                       if faults is not None else None)
-        structural_state = (structural.start(self, member=fault_member)
-                            if structural is not None else None)
-        if telemetry is None:
-            telemetry = is_collecting()
-        rec = RunRecord.begin("run", 1, r.shape[0], max_steps, tol,
-                              settle) if telemetry else None
-        step_seconds = 0.0
-        # Preallocate the whole history buffer.  When the step budget
-        # was fully used the buffer is returned as-is (no duplicate);
-        # an early exit trims with a copy so the trajectory does not
-        # pin max_steps worth of memory through a view.
-        history = np.empty((max_steps + 1, r.shape[0]), dtype=float)
-        history[0] = r
-        quiet = 0
-        limit = self.DIVERGENCE_FACTOR * self._mu_max
-
-        def trimmed(steps: int) -> np.ndarray:
-            if steps == max_steps:
-                return history
-            return history[:steps + 1].copy()
-
-        def finish(outcome: Outcome, steps: int) -> Optional[RunRecord]:
-            if rec is None:
-                return None
-            if fault_state is not None:
-                for event in fault_state.events:
-                    rec.observe_fault_event(*event)
-            rec.add_phase("step", step_seconds)
-            rec.finish(steps, {outcome.value: 1})
-            emit_run_record(rec)
-            return rec
-
-        def fault_events() -> Optional[List[FaultEvent]]:
-            return fault_state.events if fault_state is not None else None
-
-        def structural_events() -> Optional[list]:
-            return (structural_state.events
-                    if structural_state is not None else None)
-
-        for step_count in range(1, max_steps + 1):
-            if rec is not None:
-                t0 = time.perf_counter()
-            if ctrl is not None:
-                r_next, ctrl = self.step_controlled(r, ctrl)
-            elif fault_state is None and structural_state is None:
-                r_next = self.step(r)
-            else:
-                r_next = self.step(r, faults=fault_state,
-                                   step_index=step_count,
-                                   structural=structural_state)
-            if rec is not None:
-                step_seconds += time.perf_counter() - t0
-            history[step_count] = r_next
-            if not np.all(np.isfinite(r_next)) or np.any(r_next > limit):
-                if rec is not None:
-                    rec.observe_iteration(math.inf, 0, 0, 1)
-                    rec.observe_mask_event(step_count, 0, "diverged")
-                return Trajectory(trimmed(step_count), Outcome.DIVERGED,
-                                  None, step_count,
-                                  telemetry=finish(Outcome.DIVERGED,
-                                                   step_count),
-                                  fault_events=fault_events(),
-                                  structural_events=structural_events())
-            change = sup_norm(r_next, r)
-            scale = max(1.0, float(np.max(r_next)))
-            settled = False
-            if change <= tol * scale:
-                quiet += 1
-                settled = quiet >= settle
-            else:
-                quiet = 0
-            if rec is not None:
-                rec.observe_iteration(change, 0 if settled else 1,
-                                      1 if settled else 0, 0)
-            if settled:
-                if rec is not None:
-                    rec.observe_mask_event(step_count, 0, "converged")
-                return Trajectory(trimmed(step_count),
-                                  Outcome.CONVERGED, 1, step_count,
-                                  telemetry=finish(Outcome.CONVERGED,
-                                                   step_count),
-                                  fault_events=fault_events(),
-                                  structural_events=structural_events())
-            r = r_next
-        if rec is not None:
-            t0 = time.perf_counter()
-        period = _detect_period(history, max_period, tol)
-        if rec is not None:
-            rec.add_phase("period_detection", time.perf_counter() - t0)
-        if period is not None:
-            return Trajectory(history, Outcome.OSCILLATING, period,
-                              max_steps,
-                              telemetry=finish(Outcome.OSCILLATING,
-                                               max_steps),
-                              fault_events=fault_events(),
-                              structural_events=structural_events())
-        return Trajectory(history, Outcome.UNDECIDED, None, max_steps,
-                          telemetry=finish(Outcome.UNDECIDED, max_steps),
-                          fault_events=fault_events(),
-                          structural_events=structural_events())
+        return _row_trajectory(self._ensemble(
+            "run", r[np.newaxis], max_steps, tol, settle, max_period,
+            "full", None, telemetry, faults, structural,
+            first_member=fault_member), max_steps)
 
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
@@ -675,15 +524,15 @@ class FlowControlSystem:
                      structural=None) -> EnsembleResult:
         """Iterate the map from a whole batch of initial conditions.
 
-        ``initials`` is an ``(M, N)`` array — M starting rate vectors —
-        and every member is evolved under the *same* per-step semantics
-        as :meth:`run`: member ``m`` of the result matches
-        ``run(initials[m], ...)`` in final state, outcome, step count,
-        and period.  All M trajectories advance through one vectorised
+        ``initials`` is an ``(M, N)`` array — M starting rate vectors.
+        All M trajectories advance through one vectorised
         :meth:`step_batch` per step, and members that converge or
         diverge are masked out of the batch so finished trajectories
-        stop costing work.  An empty batch (``M = 0``) returns
-        immediately with well-shaped empty results.
+        stop costing work.  Members are independent: row ``m`` of an
+        M-row run equals the one-row run of ``initials[m]`` (that is,
+        ``run(initials[m], ...)``) in final state, outcome, step count,
+        and period.  An empty batch (``M = 0``) returns well-shaped
+        empty results.
 
         ``block_size`` chunks the M axis: members are evolved in
         consecutive blocks of at most ``block_size`` members, so the
@@ -715,13 +564,12 @@ class FlowControlSystem:
         :func:`ensemble_buffer_bytes` predicts the buffer cost of a
         given (M, N, history, block) combination.
 
-        ``telemetry`` works as in :meth:`run`: ``None`` records a
-        :class:`~repro.observability.RunRecord` exactly when a
-        :func:`~repro.observability.collect` session is active.  A
-        blocked run streams each block's per-iteration reductions into
-        the single record (series are concatenated in block order; the
-        record's ``n_blocks``/``block_size`` fields say how to cut
-        them), and mask events are merged across blocks into the same
+        ``telemetry`` works as in :meth:`run` (the record's kind is
+        ``"ensemble"``).  A blocked run streams each block's
+        per-iteration reductions into the single record (series are
+        concatenated in block order; the record's
+        ``n_blocks``/``block_size`` fields say how to cut them), and
+        mask events are merged across blocks into the same
         (step, member) order the one-shot path produces.
 
         ``faults`` works as in :meth:`run`; each member gets its own
@@ -740,7 +588,17 @@ class FlowControlSystem:
         bit-identical.
         """
         r0 = as_rate_matrix(initials, n=self.network.num_connections)
-        m_total, n = r0.shape
+        history = _resolve_history(record, history)
+        return self._ensemble("ensemble", r0, max_steps, tol, settle,
+                              max_period, history, block_size, telemetry,
+                              faults, structural)
+
+    def _ensemble(self, kind, r0, max_steps, tol, settle, max_period,
+                  history, block_size, telemetry, faults, structural,
+                  first_member: int = 0) -> EnsembleResult:
+        """Run ``r0`` through the driver; member ``k`` of ``r0`` draws
+        the fault and structural streams of member ``first_member + k``.
+        """
         if self._bank is not None and faults is not None \
                 and not faults.empty:
             raise SweepError(
@@ -754,241 +612,47 @@ class FlowControlSystem:
                 "signal/delay path, which controller-driven systems "
                 "replace with router-side state; structural faults "
                 "with a controller are not supported")
-        history = _resolve_history(record, history)
-        record = history == "full"
-        block = _resolve_block_size(block_size, m_total)
+        block = _resolve_block_size(block_size, r0.shape[0], stacklevel=4)
+        members = range(first_member, first_member + r0.shape[0])
         fault_states = None
         if faults is not None and not faults.empty:
             fault_states = [faults.start(network=self.network, member=m)
-                            for m in range(m_total)]
+                            for m in members]
         structural_states = None
         if structural is not None and not structural.empty:
             structural_states = [structural.start(self, member=m)
-                                 for m in range(m_total)]
-        limit = self.DIVERGENCE_FACTOR * self._mu_max
-        if telemetry is None:
-            telemetry = is_collecting()
-        rec = RunRecord.begin("ensemble", m_total, n, max_steps, tol,
-                              settle) if telemetry else None
-        n_blocks = -(-m_total // block) if m_total else 0
-        if rec is not None:
-            rec.n_blocks = max(n_blocks, 1)
-            rec.block_size = block if block_size is not None else None
+                                 for m in members]
 
-        outcomes: List[Outcome] = [Outcome.UNDECIDED] * m_total
-        periods: List[Optional[int]] = [None] * m_total
-        steps = np.full(m_total, 0, dtype=int)
-        finals = r0.copy()
+        def stepper(base, end):
+            if self._bank is not None:
+                ctrl = self._bank.initial_state_batch(end - base)
 
-        if m_total == 0:
-            # An empty ensemble is already finished; do not spin the
-            # step loop over empty arrays for max_steps iterations.
-            if rec is not None:
-                rec.finish(0, {})
-                emit_run_record(rec)
-            return EnsembleResult(finals=finals, outcomes=outcomes,
-                                  periods=periods, steps=steps,
-                                  initials=r0,
-                                  histories=[] if record else None,
-                                  telemetry=rec,
-                                  fault_events=(
-                                      [] if fault_states is not None
-                                      else None),
-                                  structural_events=(
-                                      [] if structural_states is not None
-                                      else None),
-                                  history_policy=history,
-                                  block_size=None)
+                def step(r, idx, t):
+                    nonlocal ctrl
+                    r_next, ctrl = self.step_controlled_batch(r, ctrl)
+                    return r_next
 
-        histories: Optional[List[Optional[np.ndarray]]] = \
-            [None] * m_total if record else None
-        mask_events: List[tuple] = []
-        timings = {"step": 0.0, "classify": 0.0, "period": 0.0}
-        totals = {"converged": 0, "diverged": 0, "period_ran": 0}
-        for base in range(0, m_total, block):
-            self._run_ensemble_block(
-                r0, base, min(base + block, m_total), max_steps, tol,
-                settle, max_period, limit, history, fault_states,
-                structural_states, rec,
-                outcomes, periods, steps, finals, histories,
-                mask_events, timings, totals)
-
-        # Members finish in (step, member) order on the one-shot path;
-        # blocked execution discovers the same events block by block,
-        # so a (stable) sort restores the identical ordering.
-        mask_events.sort(key=lambda e: (e[0], e[1]))
-        all_fault_events = None
-        if fault_states is not None:
-            all_fault_events = [event for state in fault_states
-                                for event in state.events]
-            all_fault_events.sort(key=lambda e: (e.step, e.member))
-        all_structural_events = None
-        if structural_states is not None:
-            all_structural_events = [event for state in structural_states
-                                     for event in state.events]
-            all_structural_events.sort(key=lambda e: (e.step, e.member))
-        if rec is not None:
-            for step_count, member, kind in mask_events:
-                rec.observe_mask_event(step_count, member, kind)
-            if all_fault_events is not None:
-                for event in all_fault_events:
-                    rec.observe_fault_event(*event)
-            if totals["period_ran"]:
-                rec.add_phase("period_detection", timings["period"])
-            rec.add_phase("step_batch", timings["step"])
-            rec.add_phase("classify", timings["classify"])
-            counts = {}
-            for o in outcomes:
-                counts[o.value] = counts.get(o.value, 0) + 1
-            rec.finish(int(np.max(steps)) if m_total else 0, counts)
-            emit_run_record(rec)
-        return EnsembleResult(finals=finals, outcomes=outcomes,
-                              periods=periods, steps=steps,
-                              initials=r0, histories=histories,
-                              telemetry=rec,
-                              fault_events=all_fault_events,
-                              structural_events=all_structural_events,
-                              history_policy=history,
-                              block_size=(block if block_size is not None
-                                          else None))
-
-    def _run_ensemble_block(self, r0, base, end, max_steps, tol, settle,
-                            max_period, limit, history, fault_states,
-                            structural_states,
-                            rec, outcomes, periods, steps, finals,
-                            histories, mask_events, timings, totals):
-        """Evolve members ``base:end`` of ``r0``; write results in place.
-
-        One block of :meth:`run_ensemble`: the per-step loop, masking,
-        and period detection over a contiguous member slice, writing
-        into the caller's result arrays at absolute member indices and
-        appending ``(step, member, kind)`` mask events.  Fault and
-        structural states are indexed by absolute member so blocked
-        streams match the one-shot path exactly.
-        """
-        mb = end - base
-        n = r0.shape[1]
-        block_states = (fault_states[base:end]
-                        if fault_states is not None else None)
-        block_structural = (structural_states[base:end]
-                            if structural_states is not None else None)
-        # Rolling tail for period detection: _detect_period probes lags
-        # up to max_period over a window of 3 * max_period, so the last
-        # 4 * max_period states suffice.
-        tcap = min(4 * max_period, max_steps + 1)
-        tail = None
-        if history != "none":
-            tail = np.zeros((mb, tcap, n), dtype=float)
-            tail[:, 0] = r0[base:end]
-        full = None
-        if history == "full":
-            full = np.empty((mb, max_steps + 1, n))
-            full[:, 0] = r0[base:end]
-        quiet = np.zeros(mb, dtype=int)
-
-        idx = np.arange(mb)           # block members still iterating
-        r = r0[base:end].copy()       # their current states, compressed
-        # Controller state rides alongside r and is masked with it, so
-        # finished members stop paying for gateway updates too.
-        ctrl = (self._bank.initial_state_batch(mb)
-                if self._bank is not None else None)
-        for step_count in range(1, max_steps + 1):
-            if rec is not None:
-                t0 = time.perf_counter()
-            if ctrl is not None:
-                r_next, ctrl = self.step_controlled_batch(r, ctrl)
-            elif block_states is None and block_structural is None:
-                r_next = self.step_batch(r)
-            else:
-                r_next = self.step_batch(r, faults=block_states,
-                                         members=idx,
-                                         step_index=step_count,
-                                         structural=block_structural)
-            if rec is not None:
-                timings["step"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-            if tail is not None:
-                tail[idx, step_count % tcap] = r_next
-            if full is not None:
-                full[idx, step_count] = r_next
-
-            finite = np.all(np.isfinite(r_next), axis=1)
-            with np.errstate(invalid="ignore"):
-                diverged = ~finite | np.any(r_next > limit, axis=1)
-                change = np.max(np.abs(r_next - r), axis=1)
-                scale = np.maximum(1.0, np.max(r_next, axis=1))
-                within = change <= tol * scale
-            quiet_next = np.where(within, quiet[idx] + 1, 0)
-            quiet[idx] = quiet_next
-            converged = (quiet_next >= settle) & ~diverged
-            done = diverged | converged
-
-            if np.any(done):
-                done_members = idx[done]
-                finals[base + done_members] = r_next[done]
-                steps[base + done_members] = step_count
-                for m, is_div in zip(done_members, diverged[done]):
-                    member = base + int(m)
-                    if is_div:
-                        outcomes[member] = Outcome.DIVERGED
-                        totals["diverged"] += 1
-                    else:
-                        outcomes[member] = Outcome.CONVERGED
-                        periods[member] = 1
-                        totals["converged"] += 1
-                    mask_events.append(
-                        (step_count, member,
-                         "diverged" if is_div else "converged"))
-                keep = ~done
-                idx = idx[keep]
-                r = r_next[keep]
-                if ctrl is not None:
+                def drop(keep):
+                    nonlocal ctrl
                     ctrl = ctrl[keep]
-                if rec is not None:
-                    finite_changes = change[keep][np.isfinite(change[keep])]
-                    rec.observe_iteration(
-                        float(np.max(finite_changes))
-                        if finite_changes.size else math.inf,
-                        int(idx.size), totals["converged"],
-                        totals["diverged"])
-                    timings["classify"] += time.perf_counter() - t0
-                if idx.size == 0:
-                    break
-            else:
-                r = r_next
-                if rec is not None:
-                    rec.observe_iteration(float(np.max(change)),
-                                          int(idx.size),
-                                          totals["converged"],
-                                          totals["diverged"])
-                    timings["classify"] += time.perf_counter() - t0
-        else:
-            # Members that exhausted the step budget: reconstruct the
-            # ordered tail from the ring buffer and look for a cycle
-            # (skipped — UNDECIDED — under history="none").
-            finals[base + idx] = r
-            steps[base + idx] = max_steps
-            if tail is not None:
-                if rec is not None:
-                    t0 = time.perf_counter()
-                start = ((max_steps + 1) % tcap
-                         if max_steps + 1 > tcap else 0)
-                for m in idx:
-                    ordered = np.roll(tail[m], -start, axis=0)
-                    period = _detect_period(ordered, max_period, tol,
-                                            total_len=max_steps + 1)
-                    if period is not None:
-                        outcomes[base + m] = Outcome.OSCILLATING
-                        periods[base + m] = period
-                if rec is not None:
-                    timings["period"] += time.perf_counter() - t0
-                    totals["period_ran"] += 1
+                return step, drop
+            if fault_states is None and structural_states is None:
+                return (lambda r, idx, t: self.step_batch(r)), None
+            blk_faults = (fault_states[base:end]
+                          if fault_states is not None else None)
+            blk_structural = (structural_states[base:end]
+                              if structural_states is not None else None)
+            return (lambda r, idx, t: self.step_batch(
+                r, faults=blk_faults, members=idx, step_index=t,
+                structural=blk_structural)), None
 
-        if full is not None:
-            # Views, not copies: each member's trajectory window into
-            # the block buffer (see EnsembleResult.histories).
-            for m in range(mb):
-                histories[base + m] = full[m, :steps[base + m] + 1]
+        return _drive(kind, r0, stepper, settle=settle,
+                      max_steps=max_steps, tol=tol, max_period=max_period,
+                      limit=self.DIVERGENCE_FACTOR * self._mu_max,
+                      history=history, block=block,
+                      blocked=block_size is not None, telemetry=telemetry,
+                      fault_states=fault_states,
+                      structural_states=structural_states)
 
     def solve(self, initial: Sequence[float], **kwargs) -> np.ndarray:
         """Run to convergence and return the steady state; raise otherwise."""
@@ -997,6 +661,23 @@ class FlowControlSystem:
             raise ConvergenceError(
                 f"dynamics did not converge (outcome: {traj.outcome.value})")
         return traj.final
+
+
+# ----------------------------------------------------------------------
+# the ensemble driver (shared with repro.core.asynchronous)
+# ----------------------------------------------------------------------
+def _row_trajectory(res: EnsembleResult, max_steps: int) -> Trajectory:
+    """The only member of a one-row full-history run as a
+    :class:`Trajectory`; an early exit trims the history with a copy
+    so the trajectory does not pin the ``max_steps`` buffer."""
+    steps = int(res.steps[0])
+    history = res.histories[0]
+    if steps < max_steps:
+        history = history.copy()
+    return Trajectory(history, res.outcomes[0], res.periods[0], steps,
+                      telemetry=res.telemetry,
+                      fault_events=res.fault_events,
+                      structural_events=res.structural_events)
 
 
 def _resolve_history(record: bool, history: Optional[str]) -> str:
@@ -1013,8 +694,10 @@ def _resolve_history(record: bool, history: Optional[str]) -> str:
     return history
 
 
-def _resolve_block_size(block_size, m_total: int) -> int:
-    """Validate ``block_size`` and clamp it to the ensemble size."""
+def _resolve_block_size(block_size, m_total: int,
+                        stacklevel: int = 3) -> int:
+    """Validate ``block_size`` and clamp it to the ensemble size;
+    ``stacklevel`` points the oversize warning at the public caller."""
     if block_size is None:
         return max(m_total, 1)
     if isinstance(block_size, bool) or \
@@ -1027,9 +710,208 @@ def _resolve_block_size(block_size, m_total: int) -> int:
         warnings.warn(
             f"block_size={block_size} exceeds the ensemble size "
             f"M={m_total}; running as a single block",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=stacklevel)
         return m_total
     return int(block_size)
+
+
+class _Ledger:
+    """Per-member results and run totals the driver fills in."""
+
+    def __init__(self, r0: np.ndarray, record: bool):
+        m_total = r0.shape[0]
+        self.outcomes: List[Outcome] = [Outcome.UNDECIDED] * m_total
+        self.periods: List[Optional[int]] = [None] * m_total
+        self.steps = np.zeros(m_total, dtype=int)
+        self.finals = r0.copy()
+        self.histories: Optional[list] = [None] * m_total if record \
+            else None
+        self.mask_events: List[tuple] = []
+        self.seconds = {"step": 0.0, "classify": 0.0,
+                        "period_detection": 0.0}
+        self.converged = 0
+        self.diverged = 0
+        self.period_ran = False
+
+
+def _drive(kind, r0, stepper, *, settle, max_steps, tol, max_period,
+           limit, history, block, blocked, telemetry, fault_states=None,
+           structural_states=None) -> EnsembleResult:
+    """Evolve every row of ``r0`` to an outcome: the one iteration loop.
+
+    ``stepper(base, end)`` prepares members ``base:end`` and returns
+    ``(step, drop)``: ``step(r, idx, t)`` maps the live rows ``r``
+    (block-relative member numbers ``idx``) to their state after step
+    ``t``, and ``drop(keep)`` (or ``None``) masks any per-member state
+    the stepper carries when finished members leave.  ``settle`` is
+    the quiet-step count, one for all members or one per member.
+    Convergence, divergence, period classification, history retention,
+    blocking and telemetry live here and nowhere else.
+    """
+    m_total, n = r0.shape
+    if telemetry is None:
+        telemetry = is_collecting()
+    rec = None
+    if telemetry:
+        rec = RunRecord.begin(kind, m_total, n, max_steps, tol,
+                              int(np.max(settle)) if np.size(settle)
+                              else 0)
+        rec.n_blocks = max(-(-m_total // block), 1)
+        rec.block_size = block if blocked else None
+    settle = np.broadcast_to(np.asarray(settle, dtype=int), (m_total,))
+    ledger = _Ledger(r0, record=history == "full")
+    for base in range(0, m_total, block):
+        _evolve_block(r0, base, min(base + block, m_total), stepper,
+                      settle, max_steps, tol, max_period, limit, history,
+                      rec, ledger)
+
+    # Members finish in (step, member) order on the one-shot path;
+    # blocked execution discovers the same events block by block, so a
+    # (stable) sort restores the identical ordering.
+    ledger.mask_events.sort(key=lambda e: (e[0], e[1]))
+    fault_events = _merged_events(fault_states)
+    structural_events = _merged_events(structural_states)
+    if rec is not None:
+        for event in ledger.mask_events:
+            rec.observe_mask_event(*event)
+        for event in fault_events or ():
+            rec.observe_fault_event(*event)
+        if ledger.period_ran:
+            rec.add_phase("period_detection",
+                          ledger.seconds["period_detection"])
+        rec.add_phase("step", ledger.seconds["step"])
+        rec.add_phase("classify", ledger.seconds["classify"])
+        counts: dict = {}
+        for o in ledger.outcomes:
+            counts[o.value] = counts.get(o.value, 0) + 1
+        rec.finish(int(np.max(ledger.steps)) if m_total else 0, counts)
+        emit_run_record(rec)
+    return EnsembleResult(finals=ledger.finals, outcomes=ledger.outcomes,
+                          periods=ledger.periods, steps=ledger.steps,
+                          initials=r0, histories=ledger.histories,
+                          telemetry=rec, fault_events=fault_events,
+                          structural_events=structural_events,
+                          history_policy=history,
+                          block_size=block if blocked else None)
+
+
+def _merged_events(states) -> Optional[list]:
+    """All members' events in (step, member) order; ``None`` when the
+    run had no such plan."""
+    if states is None:
+        return None
+    events = [event for state in states for event in state.events]
+    events.sort(key=lambda e: (e.step, e.member))
+    return events
+
+
+def _evolve_block(r0, base, end, stepper, settle, max_steps, tol,
+                  max_period, limit, history, rec, ledger) -> None:
+    """Evolve members ``base:end`` of ``r0``; write into ``ledger`` at
+    absolute member indices."""
+    step, drop = stepper(base, end)
+    mb, n = end - base, r0.shape[1]
+    r = r0[base:end].copy()       # live members' states, compressed
+    idx = np.arange(mb)           # their block-relative member numbers
+    quiet = np.zeros(mb, dtype=int)
+    settle = settle[base:end]
+    # Period detection probes lags up to max_period over a window of
+    # 3 * max_period, so a rolling tail of the last 4 * max_period
+    # states suffices when the full history is not kept.
+    tcap = min(4 * max_period, max_steps + 1)
+    tail = full = own = None
+    if history == "tail":
+        tail = np.zeros((mb, tcap, n))
+        tail[:, 0] = r
+    elif history == "full":
+        # A one-member block writes through a (1, S, N) view of its own
+        # (S, N) buffer, so a member that uses the whole budget hands
+        # out that buffer itself rather than a view of it.
+        if mb == 1:
+            own = np.empty((max_steps + 1, n))
+            full = own[np.newaxis]
+        else:
+            full = np.empty((mb, max_steps + 1, n))
+        full[:, 0] = r
+    seconds = ledger.seconds
+    clock = time.perf_counter
+    for t in range(1, max_steps + 1):
+        if rec is not None:
+            t0 = clock()
+        r_next = step(r, idx, t)
+        if rec is not None:
+            t1 = clock()
+            seconds["step"] += t1 - t0
+        if tail is not None:
+            tail[idx, t % tcap] = r_next
+        elif full is not None:
+            full[idx, t] = r_next
+        with np.errstate(invalid="ignore"):
+            change = np.max(np.abs(r_next - r), axis=1)
+            diverged = ~np.all(np.isfinite(r_next), axis=1) \
+                | np.any(r_next > limit, axis=1)
+            within = change <= tol * np.maximum(1.0, np.max(r_next, axis=1))
+        quiet_next = np.where(within, quiet[idx] + 1, 0)
+        quiet[idx] = quiet_next
+        done = diverged | (quiet_next >= settle[idx])
+        if done.any():
+            for k in np.flatnonzero(done):
+                member = base + int(idx[k])
+                ledger.finals[member] = r_next[k]
+                ledger.steps[member] = t
+                if diverged[k]:
+                    ledger.outcomes[member] = Outcome.DIVERGED
+                    ledger.diverged += 1
+                else:
+                    ledger.outcomes[member] = Outcome.CONVERGED
+                    ledger.periods[member] = 1
+                    ledger.converged += 1
+                ledger.mask_events.append(
+                    (t, member, ledger.outcomes[member].value))
+            keep = ~done
+            idx = idx[keep]
+            r = r_next[keep]
+            if drop is not None:
+                drop(keep)
+        else:
+            r = r_next
+        if rec is not None:
+            # The largest finite change over every row stepped now —
+            # including rows that just finished — and inf only when
+            # no row's change is finite.
+            finite = change[np.isfinite(change)]
+            rec.observe_iteration(
+                float(np.max(finite)) if finite.size else math.inf,
+                idx.size, ledger.converged, ledger.diverged)
+            seconds["classify"] += clock() - t1
+        if idx.size == 0:
+            break
+    else:
+        # Members that exhausted the step budget: search the retained
+        # states for a cycle (skipped — UNDECIDED — under "none").
+        ledger.finals[base + idx] = r
+        ledger.steps[base + idx] = max_steps
+        if history != "none":
+            t0 = clock()
+            start = (max_steps + 1) % tcap
+            for m in idx:
+                states = (full[m] if full is not None
+                          else np.roll(tail[m], -start, axis=0))
+                period = _detect_period(states, max_period, tol,
+                                        total_len=max_steps + 1)
+                if period is not None:
+                    ledger.outcomes[base + m] = Outcome.OSCILLATING
+                    ledger.periods[base + m] = period
+            seconds["period_detection"] += clock() - t0
+            ledger.period_ran = True
+    if full is not None:
+        # Views, not copies: each member's trajectory window into the
+        # block buffer (see EnsembleResult.histories).
+        for m in range(mb):
+            steps = int(ledger.steps[base + m])
+            ledger.histories[base + m] = (
+                own if own is not None and steps == max_steps
+                else full[m, :steps + 1])
 
 
 def _detect_period(history: np.ndarray, max_period: int, tol: float,

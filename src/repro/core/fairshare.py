@@ -57,8 +57,7 @@ def _compiled_kernels():
     return compiled
 
 
-def _sorted_loads(sorted_rates: np.ndarray, mu: float,
-                  xp=np) -> np.ndarray:
+def _sorted_loads(sorted_rates: np.ndarray, mu: float) -> np.ndarray:
     """O(n log n) cumulative loads from row-sorted rates.
 
     With the rates of each row sorted increasingly,
@@ -70,8 +69,8 @@ def _sorted_loads(sorted_rates: np.ndarray, mu: float,
     floating-point summation order (last-ulp), never in value.
     """
     n = sorted_rates.shape[-1]
-    prefix = xp.cumsum(sorted_rates, axis=-1)
-    counts = (n - 1 - xp.arange(n)).astype(float)
+    prefix = np.cumsum(sorted_rates, axis=-1)
+    counts = (n - 1 - np.arange(n)).astype(float)
     return (prefix + sorted_rates * counts) / mu
 
 
@@ -140,8 +139,7 @@ def cumulative_loads(rates: Sequence[float], mu: float,
 
 def cumulative_loads_batch(rates: np.ndarray, mu: float,
                            sorted_rates: np.ndarray = None,
-                           method: str = "auto",
-                           xp=None) -> np.ndarray:
+                           method: str = "auto") -> np.ndarray:
     """Batched :func:`cumulative_loads`: row ``m`` of the ``(M, n)``
     result is ``cumulative_loads(rates[m], mu)``.
 
@@ -154,29 +152,23 @@ def cumulative_loads_batch(rates: np.ndarray, mu: float,
     at ``n >= SPARSE_MIN_N`` the ``(M, n, n)`` min-broadcast — the
     allocation that caps ensemble size — is replaced by the O(M n log n)
     prefix-sum kernel.
-
-    ``xp`` selects the array namespace (numpy when ``None``); the
-    compiled kernels only engage on numpy arrays.
     """
-    xp = np if xp is None else xp
-    r = xp.asarray(rates, dtype=float)
+    r = np.asarray(rates, dtype=float)
     _check_mu(mu)
     if r.ndim != 2:
         raise RateVectorError(
             f"rate batch must be 2-D, got shape {r.shape}")
     if sorted_rates is None:
-        sorted_rates = xp.sort(r, axis=1, kind="stable")
+        sorted_rates = np.sort(r, axis=1, kind="stable")
     kernel = pick_kernel(method, r.shape[1])
     if kernel == "compiled":
-        out = None
-        if xp is np and isinstance(sorted_rates, np.ndarray):
-            out = _compiled_kernels().fs_loads_batch(sorted_rates, mu)
+        out = _compiled_kernels().fs_loads_batch(sorted_rates, mu)
         if out is not None:
             return out
         kernel = "sorted"  # no compiled tier live: sorted twin
     if kernel == "sorted":
-        return _sorted_loads(sorted_rates, mu, xp=xp)
-    capped = xp.minimum(sorted_rates[:, None, :],
+        return _sorted_loads(sorted_rates, mu)
+    capped = np.minimum(sorted_rates[:, None, :],
                         sorted_rates[:, :, None])
     return capped.sum(axis=2) / mu
 
@@ -232,8 +224,7 @@ class FairShare(ServiceDiscipline):
         q_sorted[sorted_rates == 0.0] = 0.0
         return q_sorted[inv]
 
-    def queue_lengths_batch(self, rates, mu, method: str = "auto",
-                            xp=None):
+    def queue_lengths_batch(self, rates, mu, method: str = "auto"):
         """Vectorised FS queue law over an ``(M, n)`` batch of rate rows.
 
         Sorts each row once, forms the cumulative loads by broadcasting,
@@ -243,50 +234,47 @@ class FairShare(ServiceDiscipline):
 
         ``method`` picks the kernel as in :func:`cumulative_loads_batch`
         (``"compiled"`` forces the compiled twin of the sorted pipeline
-        when a tier is live); ``xp`` selects the array namespace (numpy
-        when ``None``).  The compiled twin only engages on well-formed
-        numpy input — non-finite or negative rates take the numpy
+        when a tier is live).  The compiled twin only engages on
+        well-formed input — non-finite or negative rates take the numpy
         pipeline so edge-case semantics (``nan`` propagation, the
         ``g()`` domain error) are exactly the historical ones.
         """
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
+        r = np.asarray(rates, dtype=float)
         _check_mu(mu)
         if r.ndim != 2:
             raise RateVectorError(
                 f"rate batch must be 2-D, got shape {r.shape}")
         m_batch, n = r.shape
         kernel = pick_kernel(method, n)
-        if (kernel == "compiled" and xp is np
-                and isinstance(r, np.ndarray)
+        if (kernel == "compiled"
                 and np.all(np.isfinite(r)) and np.all(r >= 0)):
             out = _compiled_kernels().fs_queue_batch(r, mu)
             if out is not None:
                 return out
-        order = xp.argsort(r, axis=1, kind="stable")
-        sorted_rates = xp.take_along_axis(r, order, axis=1)
+        order = np.argsort(r, axis=1, kind="stable")
+        sorted_rates = np.take_along_axis(r, order, axis=1)
         sigma = cumulative_loads_batch(r, mu, sorted_rates=sorted_rates,
-                                       method=method, xp=xp)
+                                       method=method)
 
         # L_k = g(sigma_k) - g(sigma_{k-1}), shared by the N - k
         # connections in class k; a connection's queue is the cumsum of
         # its class shares.  sigma is nondecreasing along each row, so
         # once g hits inf (overload) every later class is inf too.
-        g_sigma = xp.asarray(g(sigma))
-        finite = xp.isfinite(g_sigma)
-        g_prev = xp.concatenate(
-            [xp.zeros((m_batch, 1)), g_sigma[:, :-1]], axis=1)
-        class_size = (n - xp.arange(n)).astype(float)
+        g_sigma = np.asarray(g(sigma))
+        finite = np.isfinite(g_sigma)
+        g_prev = np.concatenate(
+            [np.zeros((m_batch, 1)), g_sigma[:, :-1]], axis=1)
+        class_size = (n - np.arange(n)).astype(float)
         with np.errstate(invalid="ignore"):
             shares = (g_sigma - g_prev) / class_size
-        acc = xp.cumsum(xp.where(finite, shares, 0.0), axis=1)
-        q_sorted = xp.where(finite, acc, math.inf)
+        acc = np.cumsum(np.where(finite, shares, 0.0), axis=1)
+        q_sorted = np.where(finite, acc, math.inf)
         q_sorted[sorted_rates == 0.0] = 0.0
 
-        inv = xp.empty_like(order)
-        xp.put_along_axis(
-            inv, order, xp.broadcast_to(xp.arange(n), order.shape), axis=1)
-        return xp.take_along_axis(q_sorted, inv, axis=1)
+        inv = np.empty_like(order)
+        np.put_along_axis(
+            inv, order, np.broadcast_to(np.arange(n), order.shape), axis=1)
+        return np.take_along_axis(q_sorted, inv, axis=1)
 
 
 def fair_share_queues_recursive(rates: Sequence[float],

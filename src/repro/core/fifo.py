@@ -41,13 +41,12 @@ class Fifo(ServiceDiscipline):
             return q.astype(float)
         return rho / (1.0 - rho_total)
 
-    def queue_lengths_batch(self, rates, mu, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
+    def queue_lengths_batch(self, rates, mu):
+        r = np.asarray(rates, dtype=float)
         _check_mu(mu)
         rho = r / mu
         rho_total = rho.sum(axis=1, keepdims=True)
         overloaded = rho_total >= 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             q = rho / (1.0 - rho_total)
-        return xp.where(overloaded, xp.where(rho > 0, math.inf, 0.0), q)
+        return np.where(overloaded, np.where(rho > 0, math.inf, 0.0), q)

@@ -205,13 +205,9 @@ def is_close_vector(a, b, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
     return bool(np.allclose(av, bv, atol=atol, rtol=rtol))
 
 
-def clip_nonnegative(vec: np.ndarray, xp=None) -> np.ndarray:
-    """Truncate negative entries to zero (the paper's rate truncation).
-
-    ``xp`` selects the array namespace (numpy when ``None``).
-    """
-    xp = np if xp is None else xp
-    return xp.maximum(xp.asarray(vec, dtype=float), 0.0)
+def clip_nonnegative(vec: np.ndarray) -> np.ndarray:
+    """Truncate negative entries to zero (the paper's rate truncation)."""
+    return np.maximum(np.asarray(vec, dtype=float), 0.0)
 
 
 def pairs(seq: Sequence) -> Iterable[Tuple]:

@@ -79,6 +79,14 @@ class RateAdjustment(abc.ABC):
     #: validates the claim numerically.
     declared_target: Optional[float] = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # An inherited vectorised delta_batch encodes the parent's
+        # delta; a subclass that redefines delta alone gets the looping
+        # base implementation, so the batch engine runs its own law.
+        if "delta" in cls.__dict__ and "delta_batch" not in cls.__dict__:
+            cls.delta_batch = RateAdjustment.delta_batch
+
     @abc.abstractmethod
     def delta(self, rate: float, signal: float, delay: float) -> float:
         """The adjustment ``f(r_i, b_i, d_i)`` (may be negative)."""
@@ -88,7 +96,7 @@ class RateAdjustment(abc.ABC):
         return max(0.0, rate + self.delta(rate, signal, delay))
 
     def delta_batch(self, rates: np.ndarray, signals: np.ndarray,
-                    delays: np.ndarray, xp=None) -> np.ndarray:
+                    delays: np.ndarray) -> np.ndarray:
         """Elementwise ``f`` over same-shaped arrays of ``(r, b, d)``.
 
         The base implementation loops over :meth:`delta`, so any custom
@@ -96,16 +104,11 @@ class RateAdjustment(abc.ABC):
         override it with vectorised arithmetic.  Inputs broadcast
         against each other exactly like the vectorised overrides (a
         scalar delay against an ``(N,)`` rate vector is fine).
-
-        ``xp`` selects the array namespace (numpy when ``None``);
-        callers forward it only for non-numpy backends, so custom
-        rules without the parameter keep working on the default path.
         """
-        xp = np if xp is None else xp
-        r, b, d = xp.broadcast_arrays(xp.asarray(rates, dtype=float),
-                                      xp.asarray(signals, dtype=float),
-                                      xp.asarray(delays, dtype=float))
-        out = xp.empty(r.shape, dtype=float)
+        r, b, d = np.broadcast_arrays(np.asarray(rates, dtype=float),
+                                      np.asarray(signals, dtype=float),
+                                      np.asarray(delays, dtype=float))
+        out = np.empty(r.shape, dtype=float)
         flat_r, flat_b, flat_d = r.ravel(), b.ravel(), d.ravel()
         flat_out = out.ravel()
         for k in range(flat_r.size):
@@ -114,13 +117,10 @@ class RateAdjustment(abc.ABC):
         return out
 
     def apply_batch(self, rates: np.ndarray, signals: np.ndarray,
-                    delays: np.ndarray, xp=None) -> np.ndarray:
+                    delays: np.ndarray) -> np.ndarray:
         """Elementwise truncated update ``max(0, r + f(r, b, d))``."""
-        xp = np if xp is None else xp
-        kw = {} if xp is np else {"xp": xp}
-        r = xp.asarray(rates, dtype=float)
-        return xp.maximum(0.0, r + self.delta_batch(r, signals, delays,
-                                                    **kw))
+        r = np.asarray(rates, dtype=float)
+        return np.maximum(0.0, r + self.delta_batch(r, signals, delays))
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -155,9 +155,8 @@ class TargetRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return self.eta * (self.beta - signal)
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        b = np.asarray(signals, dtype=float)
         return self.eta * (self.beta - b)
 
     def __repr__(self):
@@ -183,10 +182,9 @@ class ProportionalTargetRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return self.eta * rate * (self.beta - signal)
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
         return self.eta * r * (self.beta - b)
 
     def __repr__(self):
@@ -215,17 +213,16 @@ class DecbitWindowRule(RateAdjustment):
             return -self.beta * signal * rate
         return (1.0 - signal) * self.eta / delay - self.beta * signal * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        d = xp.asarray(delays, dtype=float)
-        if xp.any(d <= 0):
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        d = np.asarray(delays, dtype=float)
+        if np.any(d <= 0):
             raise RateVectorError("delays must be positive")
         decrease = self.beta * b * r
         with np.errstate(invalid="ignore"):
             increase = (1.0 - b) * self.eta / d
-        return xp.where(xp.isinf(d), -decrease, increase - decrease)
+        return np.where(np.isinf(d), -decrease, increase - decrease)
 
     def __repr__(self):
         return f"DecbitWindowRule(eta={self.eta}, beta={self.beta})"
@@ -249,10 +246,9 @@ class DecbitRateRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return (1.0 - signal) * self.eta - self.beta * signal * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
         return (1.0 - b) * self.eta - self.beta * b * r
 
     def steady_rate(self, signal: float) -> float:
@@ -292,11 +288,10 @@ class BinaryAimdRule(RateAdjustment):
             return self.increase
         return -self.decrease * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        return xp.where(b < self.threshold, self.increase,
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        return np.where(b < self.threshold, self.increase,
                         -self.decrease * r)
 
     def __repr__(self):
@@ -337,15 +332,14 @@ class TcpLikeRule(RateAdjustment):
             return self.increase / delay
         return -self.decrease * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        d = xp.asarray(delays, dtype=float)
-        if xp.any(d <= 0):
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        d = np.asarray(delays, dtype=float)
+        if np.any(d <= 0):
             raise RateVectorError("delays must be positive")
         # increase / inf == 0.0 exactly, matching the scalar path.
-        return xp.where(b < self.threshold, self.increase / d,
+        return np.where(b < self.threshold, self.increase / d,
                         -self.decrease * r)
 
     def __repr__(self):
@@ -372,11 +366,10 @@ class RcpSourceRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return 0.0
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        return xp.zeros(np.broadcast(r, b).shape, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        return np.zeros(np.broadcast(r, b).shape, dtype=float)
 
     def __repr__(self):
         return "RcpSourceRule()"

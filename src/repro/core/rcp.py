@@ -223,17 +223,11 @@ class RcpBank:
                              np.asarray(state, dtype=float))
 
     def update_batch(self, rates: np.ndarray,
-                     state: np.ndarray, xp=None) -> np.ndarray:
-        """One gateway update per row of a ``(M, N)`` rate batch.
-
-        ``xp`` selects the array namespace (numpy when ``None``); the
-        fixed-order load accumulation itself always runs through numpy
-        semantics, which any conforming namespace must reproduce.
-        """
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
+                     state: np.ndarray) -> np.ndarray:
+        """One gateway update per row of a ``(M, N)`` rate batch."""
+        r = np.asarray(rates, dtype=float)
         return self._advance(self._loads(r),
-                             xp.asarray(state, dtype=float))
+                             np.asarray(state, dtype=float))
 
     def _advance(self, y: np.ndarray, state: np.ndarray) -> np.ndarray:
         ctl = self.controller
@@ -254,11 +248,10 @@ class RcpBank:
         s = np.asarray(state, dtype=float)
         return np.array([s[route].min() for route in self._routes])
 
-    def advertised_batch(self, state: np.ndarray, xp=None) -> np.ndarray:
+    def advertised_batch(self, state: np.ndarray) -> np.ndarray:
         """Per-row advertised rates from ``(M, G)`` state, ``(M, N)``."""
-        xp = np if xp is None else xp
-        s = xp.asarray(state, dtype=float)
-        return xp.stack([s[:, route].min(axis=1)
+        s = np.asarray(state, dtype=float)
+        return np.stack([s[:, route].min(axis=1)
                          for route in self._routes], axis=-1)
 
     # ------------------------------------------------------------------

@@ -41,6 +41,14 @@ class ServiceDiscipline(abc.ABC):
     #: Short human-readable identifier (e.g. ``"fifo"``, ``"fair-share"``).
     name: str = "abstract"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines the scalar queue law alone gets the
+        # looping base batch law, not its parent's vectorised one.
+        if "queue_lengths" in cls.__dict__ \
+                and "queue_lengths_batch" not in cls.__dict__:
+            cls.queue_lengths_batch = ServiceDiscipline.queue_lengths_batch
+
     @abc.abstractmethod
     def queue_lengths(self, rates: Sequence[float],
                       mu: float) -> np.ndarray:
@@ -58,7 +66,7 @@ class ServiceDiscipline(abc.ABC):
         """
 
     def queue_lengths_batch(self, rates: np.ndarray,
-                            mu: float, xp=None) -> np.ndarray:
+                            mu: float) -> np.ndarray:
         """Queue lengths for a batch of rate vectors at once.
 
         ``rates`` has shape ``(M, n)`` — M independent rate vectors over
@@ -67,17 +75,12 @@ class ServiceDiscipline(abc.ABC):
         The base implementation loops over the batch; disciplines with a
         vectorisable queue law override it (see :class:`~repro.core.fifo.
         Fifo` and :class:`~repro.core.fairshare.FairShare`).
-
-        ``xp`` selects the array namespace (numpy when ``None``).
-        Callers forward it only for non-numpy backends, so overrides
-        without the parameter keep working on the default path.
         """
-        xp = np if xp is None else xp
-        mat = xp.asarray(rates, dtype=float)
+        mat = np.asarray(rates, dtype=float)
         if mat.ndim != 2:
             raise RateVectorError(
                 f"rate batch must be 2-D, got shape {mat.shape}")
-        out = xp.empty_like(mat)
+        out = np.empty_like(mat)
         for m in range(mat.shape[0]):
             out[m] = self.queue_lengths(mat[m], mu)
         return out
@@ -113,33 +116,28 @@ class ServiceDiscipline(abc.ABC):
             out[~positive] = q_probe[~positive] / eps
         return out
 
-    def delays_batch(self, rates: np.ndarray, mu: float,
-                     xp=None) -> np.ndarray:
+    def delays_batch(self, rates: np.ndarray, mu: float) -> np.ndarray:
         """Batched per-packet sojourn times: row ``m`` equals
         ``delays(rates[m], mu)``.
 
         Mirrors :meth:`delays` exactly, including the tiny-probe-rate
-        treatment of zero-rate connections.  ``xp`` works as in
-        :meth:`queue_lengths_batch` (forwarded to it only when it is
-        not numpy, protecting overrides without the parameter).
+        treatment of zero-rate connections.
         """
-        xp = np if xp is None else xp
-        kw = {} if xp is np else {"xp": xp}
-        r = xp.asarray(rates, dtype=float)
+        r = np.asarray(rates, dtype=float)
         if r.ndim != 2:
             raise RateVectorError(
                 f"rate batch must be 2-D, got shape {r.shape}")
         _check_mu(mu)
-        q = self.queue_lengths_batch(r, mu, **kw)
-        out = xp.empty_like(q)
+        q = self.queue_lengths_batch(r, mu)
+        out = np.empty_like(q)
         positive = r > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             out[positive] = q[positive] / r[positive]
-        if xp.any(~positive):
+        if np.any(~positive):
             probe = r.copy()
             eps = mu * 1e-9
             probe[~positive] = eps
-            q_probe = self.queue_lengths_batch(probe, mu, **kw)
+            q_probe = self.queue_lengths_batch(probe, mu)
             out[~positive] = q_probe[~positive] / eps
         return out
 

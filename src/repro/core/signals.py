@@ -56,6 +56,13 @@ class SignalFunction(abc.ABC):
 
     name: str = "abstract"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines the scalar map alone gets the
+        # looping base apply_batch, not its parent's vectorised one.
+        if "__call__" in cls.__dict__ and "apply_batch" not in cls.__dict__:
+            cls.apply_batch = SignalFunction.apply_batch
+
     @abc.abstractmethod
     def __call__(self, congestion: float) -> float:
         """Signal for a congestion measure ``C >= 0`` (``C = inf`` -> 1)."""
@@ -67,8 +74,7 @@ class SignalFunction(abc.ABC):
         Defined for ``signal in [0, 1)``; ``signal -> 1`` gives ``inf``.
         """
 
-    def apply_batch(self, congestion: np.ndarray,
-                    xp=None) -> np.ndarray:
+    def apply_batch(self, congestion: np.ndarray) -> np.ndarray:
         """Elementwise signals for an array of congestion measures.
 
         Equals ``B`` applied entry by entry; the base implementation
@@ -78,14 +84,9 @@ class SignalFunction(abc.ABC):
         ``B(inf) = 1`` contract), so a subclass whose scalar map divides
         by the measure never sees ``inf`` and cannot leak ``inf - inf``
         NaNs into the overloaded-gateway signals.
-
-        ``xp`` selects the array namespace (numpy when ``None``);
-        callers only pass it for non-numpy backends, so subclasses
-        that predate the parameter keep working on the default path.
         """
-        xp = np if xp is None else xp
-        arr = xp.asarray(congestion, dtype=float)
-        out = xp.empty(arr.size, dtype=float)
+        arr = np.asarray(congestion, dtype=float)
+        out = np.empty(arr.size, dtype=float)
         flat = arr.ravel()
         for k in range(flat.size):
             c = flat[k]
@@ -117,9 +118,9 @@ def _check_congestion(congestion: float) -> float:
     return value
 
 
-def _check_congestion_batch(congestion, xp=np) -> np.ndarray:
-    arr = xp.asarray(congestion, dtype=float)
-    if xp.any(xp.isnan(arr)) or xp.any(arr < 0):
+def _check_congestion_batch(congestion) -> np.ndarray:
+    arr = np.asarray(congestion, dtype=float)
+    if np.any(np.isnan(arr)) or np.any(arr < 0):
         raise RateVectorError(
             "congestion measures must be >= 0 (and not NaN)")
     return arr
@@ -143,11 +144,10 @@ class LinearSaturating(SignalFunction):
             return 1.0
         return c / (c + 1.0)
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
         with np.errstate(invalid="ignore"):
-            return xp.where(xp.isinf(c), 1.0, c / (c + 1.0))
+            return np.where(np.isinf(c), 1.0, c / (c + 1.0))
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -181,11 +181,10 @@ class PowerSaturating(SignalFunction):
         # bit-identical to apply_batch for the step/step_batch contract.
         return float(np.power(c / (c + 1.0), self.p))
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
         with np.errstate(invalid="ignore"):
-            return xp.where(xp.isinf(c), 1.0, (c / (c + 1.0)) ** self.p)
+            return np.where(np.isinf(c), 1.0, (c / (c + 1.0)) ** self.p)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -216,10 +215,9 @@ class ExponentialSignal(SignalFunction):
         # apply_batch (libm and the numpy ufunc differ in the last ulp).
         return 1.0 - float(np.exp(-self.k * c))
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
-        return 1.0 - xp.exp(-self.k * c)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
+        return 1.0 - np.exp(-self.k * c)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -249,7 +247,7 @@ def _compiled_kernels():
     return compiled
 
 
-def _individual_sorted(queues: np.ndarray, xp=np) -> np.ndarray:
+def _individual_sorted(queues: np.ndarray) -> np.ndarray:
     """O(n log n) individual congestion for a row batch of queues.
 
     Sort each row; in sorted order
@@ -264,14 +262,14 @@ def _individual_sorted(queues: np.ndarray, xp=np) -> np.ndarray:
     floating-point summation order.
     """
     n = queues.shape[-1]
-    order = xp.argsort(queues, axis=-1, kind="stable")
-    qs = xp.take_along_axis(queues, order, axis=-1)
-    prefix = xp.cumsum(qs, axis=-1)
-    counts = (n - 1 - xp.arange(n)).astype(float)
+    order = np.argsort(queues, axis=-1, kind="stable")
+    qs = np.take_along_axis(queues, order, axis=-1)
+    prefix = np.cumsum(qs, axis=-1)
+    counts = (n - 1 - np.arange(n)).astype(float)
     with np.errstate(invalid="ignore"):
-        c_sorted = xp.where(xp.isinf(qs), math.inf, prefix + qs * counts)
-    out = xp.empty_like(queues)
-    xp.put_along_axis(out, order, c_sorted, axis=-1)
+        c_sorted = np.where(np.isinf(qs), math.inf, prefix + qs * counts)
+    out = np.empty_like(queues)
+    np.put_along_axis(out, order, c_sorted, axis=-1)
     return out
 
 
@@ -304,8 +302,7 @@ def individual_congestion(queues: Sequence[float],
 
 
 def individual_congestion_batch(queues: np.ndarray,
-                                method: str = "auto",
-                                xp=None) -> np.ndarray:
+                                method: str = "auto") -> np.ndarray:
     """Row-wise :func:`individual_congestion` for an ``(M, n)`` batch.
 
     Uses the same kernel as the scalar path at the same ``n`` (row for
@@ -313,42 +310,36 @@ def individual_congestion_batch(queues: np.ndarray,
     works as in :func:`individual_congestion`, replacing the
     ``(M, n, n)`` min-broadcast with the sorted kernel at large n.
     Under an active compiled backend the sorted kernel is served by
-    its compiled twin (bit-identical); ``xp`` selects the array
-    namespace (numpy when ``None``).
+    its compiled twin (bit-identical).
     """
-    xp = np if xp is None else xp
-    q = xp.asarray(queues, dtype=float)
+    q = np.asarray(queues, dtype=float)
     if q.ndim != 2:
         raise RateVectorError(f"queue batch must be 2-D, got {q.shape}")
     kernel = pick_kernel(method, q.shape[1])
     if kernel == "compiled":
-        out = None
-        if xp is np and isinstance(q, np.ndarray):
-            out = _compiled_kernels().ind_congestion_batch(q)
+        out = _compiled_kernels().ind_congestion_batch(q)
         if out is not None:
             return out
         kernel = "sorted"  # no compiled tier live: sorted twin
     if kernel == "sorted":
-        return _individual_sorted(q, xp=xp)
-    capped = xp.minimum(q[:, None, :], q[:, :, None])
+        return _individual_sorted(q)
+    capped = np.minimum(q[:, None, :], q[:, :, None])
     return capped.sum(axis=2)
 
 
 def weighted_individual_congestion_batch(
-        queues: np.ndarray, weights: Sequence[float],
-        xp=None) -> np.ndarray:
+        queues: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Row-wise :func:`weighted_individual_congestion` for a batch."""
-    xp = np if xp is None else xp
-    q = xp.asarray(queues, dtype=float)
-    phi = xp.asarray(weights, dtype=float)
+    q = np.asarray(queues, dtype=float)
+    phi = np.asarray(weights, dtype=float)
     if q.ndim != 2 or phi.ndim != 1 or q.shape[1] != phi.shape[0]:
         raise RateVectorError(
             f"queue batch {q.shape} and weights {phi.shape} do not match")
-    if xp.any(phi <= 0) or not xp.all(xp.isfinite(phi)):
+    if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise RateVectorError("weights must be finite and positive")
     scaled_own = (phi[None, None, :] / phi[None, :, None]) * q[:, :, None]
     with np.errstate(invalid="ignore"):
-        capped = xp.minimum(q[:, None, :], scaled_own)
+        capped = np.minimum(q[:, None, :], scaled_own)
     return capped.sum(axis=2)
 
 
@@ -486,42 +477,34 @@ class FeedbackScheme:
             b[i] = best
         return b
 
-    def signals_batch(self, rates: np.ndarray, xp=None) -> np.ndarray:
+    def signals_batch(self, rates: np.ndarray) -> np.ndarray:
         """Bottleneck signals for an ``(M, N)`` batch of rate vectors.
 
         Row ``m`` of the result equals ``signals(rates[m])``; every
         stage — queue laws, congestion measures, signal function, the
         MAX over gateways — is evaluated once per gateway for the whole
         batch instead of once per ensemble member.
-
-        ``xp`` selects the array namespace (numpy when ``None``).  The
-        namespace is only forwarded to the discipline and signal
-        function when it is not numpy, so custom subclasses written
-        before the parameter existed keep working on the default
-        backend.
         """
-        xp = np if xp is None else xp
-        kw = {} if xp is np else {"xp": xp}
-        r = xp.asarray(rates, dtype=float)
+        r = np.asarray(rates, dtype=float)
         if r.ndim != 2 or r.shape[1] != self.network.num_connections:
             raise RateVectorError(
                 f"need an (M, {self.network.num_connections}) rate "
                 f"batch, got shape {r.shape}")
-        b = xp.zeros_like(r)
+        b = np.zeros_like(r)
         for gname, cols in self._gateway_cols.items():
             local = r[:, cols]
             q = self.discipline.queue_lengths_batch(
-                local, self.network.mu(gname), **kw)
+                local, self.network.mu(gname))
             if self.style is FeedbackStyle.AGGREGATE:
-                c = xp.broadcast_to(
+                c = np.broadcast_to(
                     q.sum(axis=1, keepdims=True), q.shape)
             elif self.weights is not None:
                 c = weighted_individual_congestion_batch(
-                    q, self.weights[cols], xp=xp)
+                    q, self.weights[cols])
             else:
-                c = individual_congestion_batch(q, xp=xp)
-            local_b = self.signal_fn.apply_batch(c, **kw)
-            xp.maximum(b[:, cols], local_b, out=local_b)
+                c = individual_congestion_batch(q)
+            local_b = self.signal_fn.apply_batch(c)
+            np.maximum(b[:, cols], local_b, out=local_b)
             b[:, cols] = local_b
         return b
 

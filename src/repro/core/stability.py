@@ -59,33 +59,40 @@ def jacobian(system: FlowControlSystem, rates: Sequence[float],
     Steps are relative to ``max(r_j, 1e-3 * mu_max)`` so zero rates get
     a sensible absolute step; backward steps are clipped to keep probe
     rates nonnegative (falling back to forward differencing at 0).
+    Every probe point, and ``r`` itself, is mapped by one
+    :meth:`~repro.core.dynamics.FlowControlSystem.step_batch` call;
+    rows are independent, so each equals its one-row step.
     """
     if scheme not in ("central", "forward", "backward"):
         raise RateVectorError(f"unknown differencing scheme {scheme!r}")
     r = as_rate_vector(rates, n=system.network.num_connections)
     n = r.shape[0]
     mu_max = max(system.network.mu(g) for g in system.network.gateway_names)
-    base = system.step(r)
-    out = np.zeros((n, n), dtype=float)
+    # Row 0 of the probe batch is r itself, the base of one-sided
+    # differences; column j differences rows hi[j] and lo[j].
+    probes = [r]
+
+    def probe(j: int, dr: float) -> int:
+        point = r.copy()
+        point[j] += dr
+        probes.append(point)
+        return len(probes) - 1
+
+    hi = np.zeros(n, dtype=np.intp)
+    lo = np.zeros(n, dtype=np.intp)
+    spacing = np.empty(n)
     for j in range(n):
         h = rel_step * max(float(r[j]), 1e-3 * mu_max)
         lo_h = min(h, float(r[j]))  # cannot probe below zero
-        if scheme == "forward" or (scheme in ("central", "backward")
-                                   and lo_h <= 0.0):
-            plus = r.copy()
-            plus[j] += h
-            out[:, j] = (system.step(plus) - base) / h
+        if scheme == "forward" or lo_h <= 0.0:
+            hi[j], spacing[j] = probe(j, h), h
         elif scheme == "backward":
-            minus = r.copy()
-            minus[j] -= lo_h
-            out[:, j] = (base - system.step(minus)) / lo_h
+            lo[j], spacing[j] = probe(j, -lo_h), lo_h
         else:
-            plus = r.copy()
-            plus[j] += h
-            minus = r.copy()
-            minus[j] -= lo_h
-            out[:, j] = (system.step(plus) - system.step(minus)) / (h + lo_h)
-    return out
+            hi[j], lo[j] = probe(j, h), probe(j, -lo_h)
+            spacing[j] = h + lo_h
+    mapped = system.step_batch(np.array(probes))
+    return ((mapped[hi] - mapped[lo]) / spacing[:, None]).T
 
 
 def eigenvalues(df: np.ndarray) -> np.ndarray:

@@ -30,15 +30,16 @@ from .metrics import Counter, MetricsRegistry, Timer
 from .provenance import config_hash, git_revision, provenance
 from .record import (RUN_RECORD_SCHEMA, RunRecord, SweepRecord,
                      validate_run_record)
-from .session import (CollectorSession, active_session, collect,
-                      emit_run_record, emit_sweep_record, is_collecting)
+from .session import (CollectorSession, active_session, capture, collect,
+                      emit_run_record, emit_sweep_record, is_collecting,
+                      replay)
 
 __all__ = [
     "RunRecord", "SweepRecord", "RUN_RECORD_SCHEMA",
     "validate_run_record",
     "Counter", "Timer", "MetricsRegistry",
     "CollectorSession", "collect", "active_session", "is_collecting",
-    "emit_run_record", "emit_sweep_record",
+    "emit_run_record", "emit_sweep_record", "capture", "replay",
     "provenance", "git_revision", "config_hash",
     "ARTIFACT_SCHEMA", "experiment_artifact", "write_artifact",
     "write_experiment_artifact", "validate_artifact",

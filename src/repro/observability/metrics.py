@@ -84,6 +84,16 @@ class MetricsRegistry:
                 self._timers[name] = Timer()
             return self._timers[name]
 
+    def absorb(self, snapshot: dict) -> None:
+        """Add another registry's :meth:`snapshot` (e.g. one taken in
+        a worker process) into this registry."""
+        for name, value in snapshot["counters"].items():
+            self.counter(name).inc(value)
+        for name, spent in snapshot["timers"].items():
+            timer = self.timer(name)
+            timer.total_seconds += spent["total_seconds"]
+            timer.count += spent["count"]
+
     def snapshot(self) -> dict:
         """Plain-data view: ``{"counters": {...}, "timers": {...}}``."""
         with self._lock:

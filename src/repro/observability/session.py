@@ -6,6 +6,12 @@ nest (an outer session sees everything inner ones see) and collection
 is strictly opt-in: with no session active, :func:`is_collecting` is a
 single list check and the hot loops skip all bookkeeping.
 
+:func:`capture` diverts one thread's emissions into a private session,
+and :func:`replay` delivers such a session's contents to the active
+sessions later: this is how :func:`repro.parallel.sweep` brings the
+records of its pool workers (threads or processes) back to the caller,
+in grid order.
+
     from repro import observability as obs
 
     with obs.collect() as session:
@@ -23,7 +29,8 @@ from .metrics import MetricsRegistry
 from .record import RunRecord, SweepRecord
 
 __all__ = ["CollectorSession", "collect", "active_session",
-           "is_collecting", "emit_run_record", "emit_sweep_record"]
+           "is_collecting", "emit_run_record", "emit_sweep_record",
+           "capture", "replay"]
 
 
 class CollectorSession:
@@ -43,6 +50,13 @@ class CollectorSession:
         with self._lock:
             self.sweep_records.append(record)
 
+    def export(self) -> tuple:
+        """Picklable ``(run_records, sweep_records, metrics snapshot)``
+        for :func:`replay` (the session itself holds a lock)."""
+        with self._lock:
+            return (list(self.run_records), list(self.sweep_records),
+                    self.metrics.snapshot())
+
     def to_dict(self) -> dict:
         """JSON-safe view of the whole session."""
         with self._lock:
@@ -56,6 +70,21 @@ class CollectorSession:
 
 _STACK: List[CollectorSession] = []
 _STACK_LOCK = threading.Lock()
+_LOCAL = threading.local()
+
+
+def _captured() -> Optional[CollectorSession]:
+    return getattr(_LOCAL, "session", None)
+
+
+def _targets() -> List[CollectorSession]:
+    """Where this thread's emissions go: its capture, else every
+    active session."""
+    session = _captured()
+    if session is not None:
+        return [session]
+    with _STACK_LOCK:
+        return list(_STACK)
 
 
 @contextmanager
@@ -71,27 +100,54 @@ def collect():
             _STACK.remove(session)
 
 
+@contextmanager
+def capture():
+    """Divert everything the calling thread emits in the ``with`` body
+    into a fresh private :class:`CollectorSession` (collection is on
+    inside, whatever the active sessions)."""
+    session = CollectorSession()
+    previous = _captured()
+    _LOCAL.session = session
+    try:
+        yield session
+    finally:
+        _LOCAL.session = previous
+
+
+def replay(exported: tuple) -> None:
+    """Deliver a :meth:`CollectorSession.export` to this thread's
+    targets: its records in their order, its metrics added in."""
+    run_records, sweep_records, metrics = exported
+    for record in run_records:
+        emit_run_record(record)
+    for record in sweep_records:
+        emit_sweep_record(record)
+    for session in _targets():
+        session.metrics.absorb(metrics)
+
+
 def active_session() -> Optional[CollectorSession]:
-    """The innermost active session, or ``None``."""
+    """The innermost active session (this thread's capture first), or
+    ``None``."""
+    session = _captured()
+    if session is not None:
+        return session
     return _STACK[-1] if _STACK else None
 
 
 def is_collecting() -> bool:
-    """True when at least one session is active."""
-    return bool(_STACK)
+    """True when at least one session is active (or this thread is
+    capturing)."""
+    return bool(_STACK) or _captured() is not None
 
 
 def emit_run_record(record: RunRecord) -> None:
     """Deliver a finished run record to every active session."""
-    with _STACK_LOCK:
-        sessions = list(_STACK)
-    for session in sessions:
+    for session in _targets():
         session.add_run_record(record)
 
 
 def emit_sweep_record(record: SweepRecord) -> None:
     """Deliver a finished sweep record to every active session."""
-    with _STACK_LOCK:
-        sessions = list(_STACK)
-    for session in sessions:
+    for session in _targets():
         session.add_sweep_record(record)

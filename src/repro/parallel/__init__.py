@@ -55,6 +55,7 @@ pools there.  :func:`sweep` is for grids where each point builds a
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -69,7 +70,8 @@ import numpy as np
 
 from ..chaos.crashpoints import crashpoint
 from ..errors import RateVectorError, SweepError, WorkerFunctionError
-from ..observability import SweepRecord, emit_sweep_record, is_collecting
+from ..observability import (SweepRecord, capture, emit_sweep_record,
+                             is_collecting, replay)
 
 __all__ = ["sweep", "chunk_indices", "memoised", "CHECKPOINT_SCHEMA"]
 
@@ -184,24 +186,34 @@ def _run_chunk_timed(fn: Callable, items: list) -> tuple:
     return out, time.perf_counter() - start
 
 
-def _run_chunk_guarded(fn: Callable, items: list, first_index: int) -> tuple:
+def _run_chunk_guarded(fn: Callable, items: list, first_index: int,
+                       collecting: bool) -> tuple:
     """Worker-side chunk evaluation with error classification.
 
-    Returns ``("ok", results, elapsed)``, or ``("error", grid_index,
-    exception, repr)`` when ``fn`` itself raised — the caller turns
-    that into an immediate :class:`WorkerFunctionError` instead of a
-    retry.  (If the exception object cannot travel back through the
-    pool, the chunk degrades to an infrastructure failure and the
-    serial salvage path re-raises the original error directly.)
+    Returns ``("ok", results, elapsed, telemetry)``, or ``("error",
+    grid_index, exception, repr)`` when ``fn`` itself raised — the
+    caller turns that into an immediate :class:`WorkerFunctionError`
+    instead of a retry.  (If the exception object cannot travel back
+    through the pool, the chunk degrades to an infrastructure failure
+    and the serial salvage path re-raises the original error directly.)
+
+    With ``collecting`` the chunk runs under its own
+    :func:`~repro.observability.capture` — a worker process has no
+    session of the caller's to emit into — and ``telemetry`` is the
+    captured records and metrics, for the caller to
+    :func:`~repro.observability.replay` in grid order; otherwise it is
+    ``None``.
     """
     start = time.perf_counter()
     out = []
-    for offset, item in enumerate(items):
-        try:
-            out.append(fn(item))
-        except Exception as exc:
-            return ("error", first_index + offset, exc, repr(exc))
-    return ("ok", out, time.perf_counter() - start)
+    with capture() if collecting else contextlib.nullcontext() as session:
+        for offset, item in enumerate(items):
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                return ("error", first_index + offset, exc, repr(exc))
+    telemetry = session.export() if collecting else None
+    return ("ok", out, time.perf_counter() - start, telemetry)
 
 
 def _raise_worker_error(grid_index: int, rep: str, original) -> None:
@@ -327,10 +339,13 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
         SweepError: the checkpoint directory belongs to a different
             sweep, or the resilience parameters are malformed.
 
-    When an :func:`repro.observability.collect` session is active, a
-    :class:`~repro.observability.SweepRecord` with per-chunk in-worker
-    timing, worker utilisation, retry/salvage/resume counts, and any
-    serial-fallback reason is emitted; the result list is unaffected.
+    When an :func:`repro.observability.collect` session is active, the
+    run records and metrics the points emit reach it in grid order —
+    whichever executor, worker, retry round or salvage pass computed
+    them — followed by a :class:`~repro.observability.SweepRecord` with
+    per-chunk in-worker timing, worker utilisation,
+    retry/salvage/resume counts, and any serial-fallback reason; the
+    result list is unaffected.
     """
     items = list(grid)
     if executor not in ("process", "thread", "serial"):
@@ -385,6 +400,10 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             if checkpoint_dir is not None else None)
     results: List[Optional[list]] = [None] * len(chunks)
     seconds = [0.0] * len(chunks)
+    # Each computed chunk's captured records and metrics, replayed in
+    # chunk (= grid) order once every chunk is in.
+    telemetry: List[Optional[tuple]] = [None] * len(chunks)
+    collecting = rec is not None
     resumed: List[int] = []
     if ckpt is not None:
         for k, out in sorted(ckpt.load().items()):
@@ -450,7 +469,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
                     pool.shutdown(wait=False, cancel_futures=True)
                     _, grid_index, original, rep = payload
                     _raise_worker_error(grid_index, rep, original)
-                _, out, elapsed = payload
+                _, out, elapsed, telemetry[k] = payload
                 results[k] = out
                 seconds[k] = elapsed
                 pool_completed += 1
@@ -475,19 +494,21 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             salvaged = list(pending)
         for k in pending:
             payload = _run_chunk_guarded(fn, [items[i] for i in chunks[k]],
-                                         chunks[k].start)
+                                         chunks[k].start, collecting)
             if payload[0] == "error":
                 _, grid_index, original, rep = payload
                 _raise_worker_error(grid_index, rep, original)
-            _, out, elapsed = payload
+            _, out, elapsed, telemetry[k] = payload
             results[k] = out
             seconds[k] = elapsed
             if ckpt is not None:
                 ckpt.write(k, out)
 
     out: list = []
-    for piece in results:
+    for piece, captured in zip(results, telemetry):
         out.extend(piece)
+        if captured is not None:
+            replay(captured)
     if rec is not None:
         if (pool_completed == 0 and not resumed
                 and len(salvaged) == len(chunks)):
@@ -513,8 +534,10 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
 
 def _submit(pool, fn: Callable, chunk_items: list, first_index: int):
     """Submit one chunk to the pool (separate function so tests can
-    inject infrastructure failures deterministically)."""
-    return pool.submit(_run_chunk_guarded, fn, chunk_items, first_index)
+    inject infrastructure failures deterministically); the chunk
+    captures its telemetry when the caller is collecting."""
+    return pool.submit(_run_chunk_guarded, fn, chunk_items, first_index,
+                       is_collecting())
 
 
 # Re-exported here so ``repro.parallel`` remains the single import

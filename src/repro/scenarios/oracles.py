@@ -5,9 +5,12 @@ physics, or checks a theorem of the paper that predicts the outcome for
 a whole scenario family:
 
 ================== ====================================================
-``batch-equivalence``    scalar ``step`` vs ``step_batch`` rows
-                         (contract: equal to <= 1e-12)
-``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
+``batch-equivalence``    ``step_batch`` rows vs one-row ``step``
+                         (bit-identical) and vs the scalar per-layer
+                         references (contract: equal to <= 1e-12)
+``ensemble-equivalence`` ``run_ensemble`` member vs one-row ``run``
+                         (bit-identical), last transition vs the
+                         scalar references
 ``blocked-equivalence``  ``run_ensemble`` with ``block_size < M`` vs
                          the one-shot run (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
@@ -44,7 +47,7 @@ a whole scenario family:
                          every update schedule and signal delay — the
                          async engine started *at* it must stay on it
 ``async-batch-equivalence`` ``run_async_ensemble`` members reproduce
-                         the scalar :class:`AsynchronousRunner`
+                         the one-row :class:`AsynchronousRunner` run
                          bit-identically under the scenario's clock
 ================== ====================================================
 
@@ -72,7 +75,7 @@ from ..chaos.structural import StructuralFaultPlan
 from ..core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
                                  RoundRobinSchedule, run_async_ensemble)
 from ..core.dynamics import FlowControlSystem, Outcome, Trajectory
-from ..core.math_utils import sup_norm
+from ..core.math_utils import clip_nonnegative, sup_norm
 from ..core.robustness import reservation_floor_heterogeneous
 from ..core.stability import jacobian, spectral_radius
 from ..core.steadystate import is_aggregate_steady_state, refine
@@ -87,6 +90,7 @@ __all__ = [
     "oracle_names",
     "run_oracle",
     "run_all_oracles",
+    "reference_step",
 ]
 
 #: Vectorisation contract: batch rows match the scalar path to 1e-12.
@@ -193,68 +197,121 @@ class ScenarioContext:
 # ----------------------------------------------------------------------
 # differential oracles
 # ----------------------------------------------------------------------
-def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``step_batch(R)[m] == step(R[m])`` to :data:`BATCH_TOL`.
+def reference_step(system: FlowControlSystem, r: np.ndarray,
+                    state: Optional[np.ndarray] = None):
+    """``F(r)`` composed from the scalar per-layer references — the
+    scalar queue laws, signals and delays, and each rule's scalar
+    ``apply`` (or the bank's scalar ``update`` / ``advertised`` for a
+    controller-driven system, which also returns the next state)."""
+    if state is not None:
+        state = system.bank.update(r, state)
+        return clip_nonnegative(system.bank.advertised(state)), state
+    b = system.signals(r)
+    d = system.delays(r)
+    return clip_nonnegative(np.array([
+        rule.apply(float(r[i]), float(b[i]), float(d[i]))
+        for i, rule in enumerate(system.rules)]))
 
-    Controller-driven systems check the controlled pair instead —
-    ``step_controlled_batch`` rows against scalar ``step_controlled``
-    from the bank's initial state — covering both the advertised rates
-    and the per-gateway controller state."""
-    m_probes = ctx.probes.shape[0]
-    if ctx.system.controlled:
-        state0 = ctx.system.bank.initial_state()
-        batch, states = ctx.system.step_controlled_batch(
-            ctx.probes, ctx.system.bank.initial_state_batch(m_probes))
-        worst = 0.0
+
+def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
+    """Rows of ``step_batch`` are independent and match the scalar
+    per-layer references.
+
+    Row ``m`` of the batched step over all probes must equal the
+    one-row call ``step(R[m])`` bit for bit, and lie within
+    :data:`BATCH_TOL` of the map composed from the scalar per-layer
+    functions (:func:`reference_step`).  Controller-driven systems
+    check the controlled pair instead — ``step_controlled_batch`` rows
+    against one-row ``step_controlled`` from the bank's initial state,
+    and against the bank's scalar update — covering both the
+    advertised rates and the per-gateway controller state."""
+    system = ctx.system
+    probes = ctx.probes
+    m_probes = probes.shape[0]
+    worst = 0.0
+    if system.controlled:
+        state0 = system.bank.initial_state()
+        batch, states = system.step_controlled_batch(
+            probes, system.bank.initial_state_batch(m_probes))
         for m in range(m_probes):
-            scalar, state = ctx.system.step_controlled(
-                ctx.probes[m], state0)
-            worst = max(worst, float(np.max(np.abs(batch[m] - scalar))),
-                        float(np.max(np.abs(states[m] - state))))
+            row, state = system.step_controlled(probes[m], state0)
+            if not (np.array_equal(batch[m], row, equal_nan=True)
+                    and np.array_equal(states[m], state, equal_nan=True)):
+                return OracleResult(
+                    "batch-equivalence", True, False,
+                    f"probe {m}: controlled batch row differs from the "
+                    f"one-row step (contract is bit-identity)")
+            ref, ref_state = reference_step(system, probes[m], state0)
+            worst = max(worst, float(np.max(np.abs(batch[m] - ref))),
+                        float(np.max(np.abs(states[m] - ref_state))))
         return OracleResult(
             "batch-equivalence", True, worst <= BATCH_TOL,
-            f"max |controlled batch - scalar| = {worst:.3e} over "
-            f"{m_probes} probes, rates and controller state "
-            f"(tol {BATCH_TOL:.0e})")
-    batch = ctx.system.step_batch(ctx.probes)
-    worst = 0.0
+            f"{m_probes} controlled probe rows bit-identical to one-row "
+            f"steps; max |batch - scalar reference| = {worst:.3e}, "
+            f"rates and controller state (tol {BATCH_TOL:.0e})")
+    batch = system.step_batch(probes)
     for m in range(m_probes):
-        scalar = ctx.system.step(ctx.probes[m])
-        worst = max(worst, float(np.max(np.abs(batch[m] - scalar))))
+        if not np.array_equal(batch[m], system.step(probes[m]),
+                              equal_nan=True):
+            return OracleResult(
+                "batch-equivalence", True, False,
+                f"probe {m}: step_batch row differs from the one-row "
+                f"step (contract is bit-identity)")
+        worst = max(worst, float(np.max(np.abs(
+            batch[m] - reference_step(system, probes[m])))))
     return OracleResult(
         "batch-equivalence", True, worst <= BATCH_TOL,
-        f"max |step_batch - step| = {worst:.3e} over "
-        f"{m_probes} probes (tol {BATCH_TOL:.0e})")
+        f"{m_probes} probe rows bit-identical to one-row steps; max "
+        f"|step_batch - scalar reference| = {worst:.3e} "
+        f"(tol {BATCH_TOL:.0e})")
 
 
 def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_ensemble`` members reproduce scalar ``run`` exactly."""
+    """``run_ensemble`` rows reproduce one-row ``run`` exactly, and
+    each member's last transition matches the scalar references.
+
+    The members finish at different steps, so the comparison exercises
+    the driver's masking: finals, outcomes, step counts and periods
+    must be bit-identical to ``run(initials[m])``.  Each member's last
+    finite transition must also lie within :data:`BATCH_TOL` of
+    :func:`reference_step` (not for controller-driven systems, whose
+    controller state the history does not carry)."""
     budget = min(ctx.spec.max_steps, 600)
     initials = ctx.probes[:2]
-    ens = ctx.system.run_ensemble(initials, max_steps=budget,
-                                  tol=ctx.spec.tol)
+    system = ctx.system
+    ens = system.run_ensemble(initials, max_steps=budget,
+                              tol=ctx.spec.tol, record=True)
+    worst = 0.0
     for m in range(len(ens)):
-        traj = ctx.system.run(initials[m], max_steps=budget,
-                              tol=ctx.spec.tol)
-        if ens.outcomes[m] is not traj.outcome:
+        traj = system.run(initials[m], max_steps=budget, tol=ctx.spec.tol)
+        if ens.outcomes[m] is not traj.outcome \
+                or ens.periods[m] != traj.period:
             return OracleResult(
                 "ensemble-equivalence", True, False,
-                f"member {m}: ensemble outcome "
-                f"{ens.outcomes[m].value} != scalar {traj.outcome.value}")
+                f"member {m}: ensemble outcome {ens.outcomes[m].value} "
+                f"(period {ens.periods[m]}) != one-row "
+                f"{traj.outcome.value} (period {traj.period})")
         if int(ens.steps[m]) != traj.steps:
             return OracleResult(
                 "ensemble-equivalence", True, False,
                 f"member {m}: ensemble steps {int(ens.steps[m])} != "
-                f"scalar {traj.steps}")
-        diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
-        if diff > BATCH_TOL:
+                f"one-row {traj.steps}")
+        if not np.array_equal(ens.finals[m], traj.final, equal_nan=True):
+            diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
             return OracleResult(
                 "ensemble-equivalence", True, False,
                 f"member {m}: final states differ by {diff:.3e} "
-                f"(tol {BATCH_TOL:.0e})")
+                f"(contract is bit-identity)")
+        last = ens.histories[m][-2:]
+        if not system.controlled and len(last) == 2 \
+                and np.all(np.isfinite(last)):
+            worst = max(worst, float(np.max(np.abs(
+                last[1] - reference_step(system, last[0])))))
     return OracleResult(
-        "ensemble-equivalence", True, True,
-        f"{len(ens)} members match scalar runs ({budget}-step budget)")
+        "ensemble-equivalence", True, worst <= BATCH_TOL,
+        f"{len(ens)} members bit-identical to one-row runs "
+        f"({budget}-step budget); last transitions within "
+        f"{worst:.3e} of the scalar reference (tol {BATCH_TOL:.0e})")
 
 
 def check_kernel_equivalence(ctx: ScenarioContext) -> OracleResult:
@@ -984,8 +1041,8 @@ def check_async_fixed_point(ctx: ScenarioContext) -> OracleResult:
 
 
 def check_async_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_async_ensemble`` members reproduce the scalar
-    :class:`AsynchronousRunner` bit-identically — finals, outcomes,
+    """``run_async_ensemble`` rows reproduce the one-row
+    :class:`AsynchronousRunner` run bit-identically — finals, outcomes,
     and step counts — under the scenario's clock schedule and delay."""
     spec = ctx.spec
     if spec.clock is None:
@@ -1008,12 +1065,12 @@ def check_async_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
             return OracleResult(
                 "async-batch-equivalence", True, False,
                 f"member {m}: ensemble outcome {ens.outcomes[m].value} "
-                f"!= scalar {traj.outcome.value}")
+                f"!= one-row {traj.outcome.value}")
         if int(ens.steps[m]) != traj.steps:
             return OracleResult(
                 "async-batch-equivalence", True, False,
                 f"member {m}: ensemble steps {int(ens.steps[m])} != "
-                f"scalar {traj.steps}")
+                f"one-row {traj.steps}")
         if not np.array_equal(ens.finals[m], traj.final):
             diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
             return OracleResult(
@@ -1022,7 +1079,7 @@ def check_async_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
                 f"(contract is bit-identity)")
     return OracleResult(
         "async-batch-equivalence", True, True,
-        f"{len(ens)} members bit-identical to the scalar runner "
+        f"{len(ens)} members bit-identical to one-row runs "
         f"under the {spec.clock.kind} clock, delay {tau} "
         f"({budget}-step budget)")
 

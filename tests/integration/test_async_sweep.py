@@ -1,7 +1,8 @@
 """Acceptance sweep for the batched asynchronous engine: across 100+
-generated scenarios, every ``run_async_ensemble`` member reproduces the
-scalar :class:`AsynchronousRunner` bit-identically — finals, outcomes,
-and step counts — over the full schedule family and a range of delays."""
+generated scenarios, every member of an M-row ``run_async_ensemble``
+reproduces its one-row :class:`AsynchronousRunner` run bit-identically
+— finals, outcomes, and step counts — over the full schedule family and
+a range of delays."""
 
 import numpy as np
 

@@ -86,6 +86,22 @@ class TestEveryOracleFires:
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
 
+    def test_batch_equivalence_catches_batch_size_dependence(
+            self, monkeypatch):
+        # A batch queue law that drifts on multi-row batches only: the
+        # scalar layers are untouched, but rows of an M-row step no
+        # longer equal the one-row call.
+        orig = FairShare.queue_lengths_batch
+
+        def broken(self, rates, mu, method="auto"):
+            q = orig(self, rates, mu, method=method)
+            return q * (1.0 + 1e-15 * (q.shape[0] > 1))
+
+        monkeypatch.setattr(FairShare, "queue_lengths_batch", broken)
+        fails = failing_oracles(spec_of(), ["batch-equivalence",
+                                            "ensemble-equivalence"])
+        assert fails == ("batch-equivalence", "ensemble-equivalence")
+
     def test_blocked_equivalence_catches_row_position_dependence(
             self, monkeypatch):
         # A kernel that leaks the batch-row *position* into the result
@@ -454,8 +470,8 @@ class TestAsyncOracles:
         import repro.core.asynchronous as async_mod
         orig = async_mod.clip_nonnegative
 
-        def biased(vec, xp=np):
-            return orig(vec, xp=xp) + 1e-4
+        def biased(vec):
+            return orig(vec) + 1e-4
 
         monkeypatch.setattr(async_mod, "clip_nonnegative", biased)
         fails = failing_oracles(self.clocked_spec(),
@@ -464,13 +480,14 @@ class TestAsyncOracles:
 
     def test_async_batch_equivalence_catches_batch_only_mutation(
             self, monkeypatch):
-        # Skew apply_batch alone: the scalar runner goes through
-        # rule.apply, so only the batched async path moves.
+        # Skew apply_batch on multi-row batches only: the one-row
+        # runner is untouched, so only the M-row ensemble moves.
         from repro.core.ratecontrol import RateAdjustment
         orig = RateAdjustment.apply_batch
 
-        def skewed(self, rates, signals, delays, **kw):
-            return orig(self, rates, signals, delays, **kw) + 1e-9
+        def skewed(self, rates, signals, delays):
+            out = orig(self, rates, signals, delays)
+            return out + 1e-9 if np.shape(rates)[0] > 1 else out
 
         monkeypatch.setattr(RateAdjustment, "apply_batch", skewed)
         fails = failing_oracles(self.clocked_spec(),

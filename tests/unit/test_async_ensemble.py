@@ -1,6 +1,8 @@
-"""Unit tests for the batched asynchronous engine: scalar equivalence,
-ring-buffer boundaries, fixed-point invariance under any schedule and
-delay, and the blocked/recording contracts shared with run_ensemble."""
+"""Unit tests for the batched asynchronous engine: row independence
+(each row of an M-row run equals the one-row ``AsynchronousRunner``
+run), ring-buffer boundaries, fixed-point invariance under any schedule
+and delay, and the blocked/recording contracts shared with
+run_ensemble."""
 
 import numpy as np
 import pytest
@@ -63,6 +65,7 @@ class TestScalarEquivalence:
         for m in range(len(ens)):
             traj = runner.run(initials[m], max_steps=600)
             assert ens.outcomes[m] is traj.outcome
+            assert ens.periods[m] == traj.period
             assert int(ens.steps[m]) == traj.steps
             assert np.array_equal(ens.finals[m], traj.final)
 

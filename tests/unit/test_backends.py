@@ -1,17 +1,14 @@
-"""Unit tests for repro.backends: the resolver, the stub array
-namespace, the compiled kernel tiers, and the pick_kernel boundary."""
+"""Unit tests for repro.backends: the resolver, the compiled kernel
+tier, and the pick_kernel boundary."""
 
 import numpy as np
 import pytest
 
 from repro import backends
 from repro.backends import _fs_python, compiled
-from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare, cumulative_loads
 from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
-from repro.core.ratecontrol import TargetRule
-from repro.core.signals import (FeedbackStyle, LinearSaturating,
-                                individual_congestion,
+from repro.core.signals import (individual_congestion,
                                 individual_congestion_batch)
 from repro.core.topology import single_gateway
 from repro.errors import CLIError, RateVectorError
@@ -36,7 +33,6 @@ class TestResolver:
     def test_default_is_numpy(self):
         backend = backends.resolve()
         assert backend.name == "numpy"
-        assert backend.xp is np
         assert backend.kernel_tier == "python"
 
     def test_name_is_normalised(self):
@@ -47,34 +43,44 @@ class TestResolver:
             backends.resolve("tensorflow")
         msg = str(exc.value)
         assert "tensorflow" in msg
-        assert "available backends" in msg
-        assert "numpy" in msg
-        assert "repro[numba]" in msg
+        assert "numpy, compiled, cext" in msg
 
-    def test_unavailable_dependency_is_loud(self):
-        if backends._numba_available():
-            pytest.skip("numba installed: the gap cannot be provoked")
+    def test_removed_backends_are_loud(self, monkeypatch):
+        assert backends.BACKEND_NAMES == ("numpy", "compiled", "cext")
+        with pytest.raises(CLIError, match="numpy, compiled, cext"):
+            backends.resolve("cupy")
+        monkeypatch.setenv("REPRO_BACKEND", "jax")
+        backends.reset()
+        with pytest.raises(CLIError, match="numpy, compiled, cext"):
+            backends.active()
+        monkeypatch.delenv("REPRO_BACKEND")
+        from repro.cli import main
+        with pytest.raises(CLIError, match="numpy, compiled, cext"):
+            main(["selftest", "--backend", "numba"])
+
+    def test_unavailable_dependency_is_loud(self, monkeypatch):
+        from repro.backends import _cext
+        monkeypatch.setattr(_cext, "compiler_available", lambda: False)
         with pytest.raises(CLIError) as exc:
-            backends.resolve("numba")
+            backends.resolve("cext")
         msg = str(exc.value)
         assert "not available" in msg
-        assert "repro[numba]" in msg
+        assert "no C compiler" in msg
 
     def test_compiled_degrades_gracefully(self):
         backend = backends.resolve("compiled")
         assert backend.name == "compiled"
-        assert backend.xp is np
-        assert backend.kernel_tier in ("numba", "cext", "python")
+        assert backend.kernel_tier in ("cext", "python")
 
     def test_always_available_names(self):
         names = backends.available_backends()
-        for name in ("numpy", "compiled", "stub"):
+        for name in ("numpy", "compiled"):
             assert name in names
 
     def test_env_variable_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "stub")
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
         backends.reset()
-        assert backends.active().name == "stub"
+        assert backends.active().name == "compiled"
 
     def test_env_variable_unknown_is_loud(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu9000")
@@ -83,64 +89,24 @@ class TestResolver:
             backends.active()
 
     def test_use_and_reset(self):
-        backends.use("stub")
-        assert backends.active().name == "stub"
+        backends.use("compiled")
+        assert backends.active().name == "compiled"
         backends.reset()
         assert backends.active().name == "numpy"
 
     def test_using_restores_previous(self):
-        with backends.using("stub"):
-            assert backends.active().name == "stub"
+        with backends.using("compiled"):
+            assert backends.active().name == "compiled"
         assert backends.active().name == "numpy"
 
     def test_backend_instance_passes_through(self):
-        backend = backends.resolve("stub")
+        backend = backends.resolve("compiled")
         assert backends.use(backend) is backend
 
 
-class TestStubSeam:
-    def _system(self, backend=None):
-        return FlowControlSystem(
-            single_gateway(4, mu=1.0), FairShare(), LinearSaturating(),
-            TargetRule(eta=0.1, beta=0.5),
-            style=FeedbackStyle.INDIVIDUAL, backend=backend)
-
-    def test_step_batch_bit_identical_and_exercised(self):
-        rng = np.random.default_rng(3)
-        batch = rng.uniform(0.0, 0.5, size=(5, 4))
-        stub = backends.resolve("stub")
-        out = self._system(backend=stub).step_batch(batch)
-        want = self._system().step_batch(batch)
-        assert np.array_equal(out, want)
-        assert stub.xp.calls > 0
-        assert "asarray" in stub.xp.attributes_used
-
-    def test_run_ensemble_bit_identical(self):
-        rng = np.random.default_rng(4)
-        starts = rng.uniform(0.0, 0.5, size=(6, 4))
-        stub = backends.resolve("stub")
-        got = self._system(backend=stub).run_ensemble(starts,
-                                                      max_steps=200)
-        want = self._system().run_ensemble(starts, max_steps=200)
-        assert np.array_equal(got.finals, want.finals)
-        assert got.outcomes == want.outcomes
-        assert stub.xp.calls > 0
-
-    def test_system_resolves_backend_names(self):
-        system = self._system(backend="stub")
-        assert system.backend.name == "stub"
-        with pytest.raises(CLIError):
-            self._system(backend="not-a-backend")
-
-    def test_system_defaults_to_active_backend(self):
-        with backends.using("stub"):
-            system = self._system()
-        assert system.backend.name == "stub"
-
-
 class TestPythonTwins:
-    """The numba-compatible loop twins diff against the numpy
-    pipeline with no optional dependency installed."""
+    """The loop twins of the C kernels diff against the numpy
+    pipeline."""
 
     def test_fs_queue_twin_matches_sorted_pipeline(self):
         rng = np.random.default_rng(11)
@@ -292,7 +258,7 @@ class TestPickKernelBoundary:
 
 class TestObservability:
     def test_warmup_reports_tier(self):
-        assert compiled.warmup() in ("numba", "cext", "python")
+        assert compiled.warmup() in ("cext", "python")
 
     @needs_fifo_lib
     def test_fifo_runs_are_timed(self):

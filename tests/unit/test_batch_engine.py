@@ -1,8 +1,10 @@
 """Equivalence tests for the batched trajectory engine.
 
-Every batched path — queue laws, congestion signals, rate rules, the
-one-step map, and the full ensemble runner — must reproduce its scalar
-counterpart row by row to 1e-12, including the awkward corners: zero
+Every batched layer — queue laws, congestion signals, rate rules, the
+one-step map — must reproduce its scalar per-layer reference row by
+row to 1e-12, and the one-step map and the ensemble runner must treat
+rows independently: row m of an M-row call equals the one-row call
+(``step`` / ``run``) bit for bit.  Including the awkward corners: zero
 rates, overloaded gateways (infinite queues), and heterogeneous rule
 mixes.
 """
@@ -28,6 +30,7 @@ from repro.core.signals import (ExponentialSignal, FeedbackStyle,
 from repro.core.topology import (parking_lot, single_gateway,
                                  two_gateway_shared)
 from repro.errors import RateVectorError
+from repro.scenarios.oracles import reference_step
 
 TOL = 1e-12
 
@@ -180,8 +183,11 @@ class TestStepBatch:
         batch = _rate_batch(n, rng)
         out = system.step_batch(batch)
         for m in range(batch.shape[0]):
-            expect = system.step(batch[m])
-            assert np.allclose(out[m], expect, atol=TOL)
+            # Rows are independent of one another (bit for bit) and
+            # match the map composed from the scalar layers.
+            assert np.array_equal(out[m], system.step(batch[m]))
+            assert np.allclose(out[m], reference_step(system, batch[m]),
+                               atol=TOL)
 
     def test_signals_batch_matches_scalar(self):
         system = next(iter(_configs()))
@@ -194,8 +200,31 @@ class TestStepBatch:
     def test_single_vector_promoted(self):
         system = next(iter(_configs()))
         r = np.array([0.1, 0.2, 0.05])
-        assert np.allclose(system.step_batch(r)[0], system.step(r),
-                           atol=TOL)
+        assert np.array_equal(system.step_batch(r)[0], system.step(r))
+
+    def test_scalar_only_overrides_reach_the_batch_path(self):
+        # Subclasses that redefine only the scalar law of a class with a
+        # vectorised batch law must not inherit that batch law.
+        class Halved(LinearSaturating):
+            def __call__(self, congestion):
+                return 0.5 * super().__call__(congestion)
+
+        class Doubled(Fifo):
+            def queue_lengths(self, rates, mu):
+                return 2.0 * super().queue_lengths(rates, mu)
+
+        class Creep(TargetRule):
+            def delta(self, rate, signal, delay):
+                return 0.01 * (1.0 - signal)
+
+        system = FlowControlSystem(single_gateway(3, mu=1.0), Doubled(),
+                                   Halved(), Creep(eta=0.1, beta=0.5),
+                                   style=FeedbackStyle.INDIVIDUAL)
+        batch = _rate_batch(3, np.random.default_rng(4))
+        out = system.step_batch(batch)
+        for m in range(batch.shape[0]):
+            assert np.allclose(out[m], reference_step(system, batch[m]),
+                               atol=TOL)
 
 
 class TestRunEnsemble:
@@ -223,10 +252,10 @@ class TestRunEnsemble:
                 assert result.outcomes[m] is traj.outcome
                 assert result.periods[m] == traj.period
                 assert result.steps[m] == traj.steps
-                assert np.allclose(result.finals[m], traj.final, atol=TOL)
+                assert np.array_equal(result.finals[m], traj.final)
                 rt = result.trajectory(m)
                 assert rt.history.shape == traj.history.shape
-                assert np.allclose(rt.history, traj.history, atol=TOL)
+                assert np.array_equal(rt.history, traj.history)
 
     def test_divergence_masked_per_member(self):
         system = self._system(rules=DoublingRule())
@@ -237,7 +266,7 @@ class TestRunEnsemble:
             assert traj.outcome is Outcome.DIVERGED
             assert result.outcomes[m] is Outcome.DIVERGED
             assert result.steps[m] == traj.steps
-            assert np.allclose(result.finals[m], traj.final, atol=TOL)
+            assert np.array_equal(result.finals[m], traj.final)
 
     def test_outcome_mask_and_counts(self):
         system = self._system()
@@ -290,7 +319,7 @@ class TestRunEnsemble:
         assert len(result) == 1
         assert result.outcomes[0] is traj.outcome
         assert result.steps[0] == traj.steps
-        assert np.allclose(result.finals[0], traj.final, atol=TOL)
+        assert np.array_equal(result.finals[0], traj.final)
 
     def test_single_connection_matches_run(self):
         system = self._system(n=1)
@@ -300,7 +329,7 @@ class TestRunEnsemble:
             traj = system.run(starts[m], max_steps=3000)
             assert result.outcomes[m] is traj.outcome
             assert result.steps[m] == traj.steps
-            assert np.allclose(result.finals[m], traj.final, atol=TOL)
+            assert np.array_equal(result.finals[m], traj.final)
 
     def test_overloaded_members_agree_with_scalar(self):
         # rho_total >= 1 members have infinite queues; the batch path
@@ -313,12 +342,14 @@ class TestRunEnsemble:
         out = system.step_batch(starts)
         assert np.all(np.isfinite(out))
         for m in range(starts.shape[0]):
-            assert np.allclose(out[m], system.step(starts[m]), atol=TOL)
+            assert np.array_equal(out[m], system.step(starts[m]))
+            assert np.allclose(out[m], reference_step(system, starts[m]),
+                               atol=TOL)
         result = system.run_ensemble(starts, max_steps=2000)
         for m in range(starts.shape[0]):
             traj = system.run(starts[m], max_steps=2000)
             assert result.outcomes[m] is traj.outcome
-            assert np.allclose(result.finals[m], traj.final, atol=TOL)
+            assert np.array_equal(result.finals[m], traj.final)
 
 
 class TestTheorem5Batch:

@@ -35,6 +35,14 @@ def _square(x):
     return x * x
 
 
+def _run_budget(x):
+    """A sweep point that emits one run record (its step count names
+    the grid point) and bumps a session counter."""
+    active_session().metrics.counter("points").inc()
+    traj = _make_system(3).run(np.full(3, 0.1), max_steps=10 + x, tol=0.0)
+    return traj.steps
+
+
 class TestMetricsRegistry:
     def test_counter_and_timer(self):
         reg = MetricsRegistry()
@@ -180,14 +188,21 @@ class TestEngineTelemetry:
         r0 = np.full(4, 0.1)
         with collect() as session:
             traj = system.run(r0, max_steps=2000)
+            ens = system.run_ensemble(r0[None], max_steps=2000)
         rec = traj.telemetry
-        assert rec in session.run_records
+        assert session.run_records == [rec, ens.telemetry]
         assert rec.kind == "run"
         assert rec.steps == traj.steps
         assert len(rec.residuals) == traj.steps
         assert rec.outcome_counts == {traj.outcome.value: 1}
         assert "step" in rec.phase_seconds
         assert validate_run_record(rec.to_dict()) == []
+        # The step that converges the last live member still reports
+        # that member's (finite) change, in the ensemble as in run().
+        assert traj.outcome is Outcome.CONVERGED
+        assert np.all(np.isfinite(rec.residuals))
+        assert 0.0 < rec.residuals[-1] < 1e-10
+        assert ens.telemetry.residuals == rec.residuals
 
     def test_ensemble_record_counts_and_masks(self):
         system = _make_system()
@@ -259,6 +274,32 @@ class TestSweepTelemetry:
         session = CollectorSession()
         sweep(_square, [1, 2], workers=1)
         assert session.sweep_records == []
+
+    @pytest.mark.parametrize("executor", ["process", "thread", "serial"])
+    def test_worker_records_reach_the_caller_in_grid_order(self,
+                                                          executor):
+        grid = list(range(7))
+        with collect() as session:
+            out = sweep(_run_budget, grid, workers=2, executor=executor,
+                        chunk_size=2)
+        assert out == [10 + x for x in grid]
+        assert [r.steps for r in session.run_records] == out
+        assert all(r.kind == "run" for r in session.run_records)
+        assert session.metrics.snapshot()["counters"] == {"points": 7}
+        assert len(session.sweep_records) == 1
+
+    def test_salvaged_chunks_keep_grid_order(self, monkeypatch):
+        from tests.unit.test_resilient_sweep import _patched_submit
+
+        def fail_second_chunk(first_index, attempt):
+            return OSError("worker lost") if first_index == 2 else None
+
+        _patched_submit(monkeypatch, fail_second_chunk)
+        with collect() as session, pytest.warns(RuntimeWarning):
+            out = sweep(_run_budget, list(range(6)), workers=2,
+                        executor="thread", chunk_size=2, retries=0)
+        assert [r.steps for r in session.run_records] == out
+        assert session.sweep_records[0].salvaged_chunks == [1]
 
 
 class TestProvenance:
