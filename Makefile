@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test selftest gate fuzz-quick scale-quick chaos-quick \
-	async-quick compiled-quick verify bench
+	async-quick compiled-quick perfbench-test verify bench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -45,12 +45,20 @@ async-quick:
 compiled-quick:
 	$(PYTHON) benchmarks/bench_compiled.py --quick
 
+# The traced benchmark's own tests (~25 s): every workload runs once
+# traced and once untraced with identical outputs, which fails when a
+# refactor stops entering a layer a workload declares or renames a
+# function the tracer wraps.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
+
 # The tier-1 flow: full test suite, the engine smoke check, the
 # benchmark regression gate (quick CI workload), the bounded fuzzing
 # sweep, the blocked-ensemble scale check, the chaos sweep, the
-# asynchronous-engine check, and the compiled-backend check.
+# asynchronous-engine check, the compiled-backend check, and the
+# traced benchmark's tests.
 verify: test selftest gate fuzz-quick scale-quick chaos-quick \
-	async-quick compiled-quick
+	async-quick compiled-quick perfbench-test
 
 # Full-scale benchmarks + gate; refreshes BENCH_core.json,
 # BENCH_sim.json, BENCH_scale.json, BENCH_controllers.json,

@@ -52,9 +52,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import RateVectorError, SweepError
-from .delays import round_trip_delays_batch
 from .dynamics import EnsembleResult, FlowControlSystem, Trajectory, \
-    _drive, _resolve_block_size, _resolve_history, _row_trajectory
+    _drive, _resolve_block_size, _row_trajectory
 from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative
 
 __all__ = [
@@ -448,10 +447,9 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                        max_steps: int = 20000, tol: float = 1e-10,
                        settle: Optional[int] = None,
                        max_period: int = 64,
-                       record: bool = False,
                        telemetry: Optional[bool] = None,
                        block_size: Optional[int] = None,
-                       history: Optional[str] = None) -> EnsembleResult:
+                       history: str = "tail") -> EnsembleResult:
     """Evolve an ``(M, N)`` ensemble under asynchronous updates.
 
     The asynchronous engine (:class:`AsynchronousRunner` runs its
@@ -477,9 +475,9 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     ``2 * steps_per_sweep + signal_delay + 3`` quiet steps (the
     full-quiet-sweep contract of :meth:`AsynchronousRunner.run`).
 
-    ``record`` / ``history`` / ``block_size`` / ``telemetry`` follow
-    :meth:`FlowControlSystem.run_ensemble` exactly: the same retention
-    policies, the same blocked bit-identity, the same
+    ``history`` / ``block_size`` / ``telemetry`` and the argument
+    checks follow :meth:`FlowControlSystem.run_ensemble` exactly: the
+    same retention policies, the same blocked bit-identity, the same
     ``(step, member)``-ordered mask events, and a
     :class:`~repro.observability.RunRecord` of kind
     ``"async_ensemble"`` when telemetry is collected.
@@ -499,7 +497,6 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     n = system.network.num_connections
     r0 = as_rate_matrix(initials, n=n)
     m_total = r0.shape[0]
-    history = _resolve_history(record, history)
     block = _resolve_block_size(block_size, m_total)
     tau = int(signal_delay)
 
@@ -522,16 +519,10 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                     f"got {s!r}")
 
     if settle is None:
-        if shared is not None:
-            settle_arr = np.full(
-                m_total, 2 * shared.steps_per_sweep(n) + tau + 3,
-                dtype=int)
-        else:
-            settle_arr = np.array(
-                [2 * s.steps_per_sweep(n) + tau + 3 for s in schedules],
-                dtype=int)
-    else:
-        settle_arr = np.full(m_total, int(settle), dtype=int)
+        settle = np.array(
+            [2 * s.steps_per_sweep(n) + tau + 3
+             for s in (schedules if shared is None else [shared])],
+            dtype=int)
 
     def stepper(base, end):
         # Delayed-signal ring: slot s % (tau + 1) holds the state of
@@ -544,9 +535,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
         def step(r, idx, t):
             slot = t % (tau + 1)
             stale = ring[slot]
-            b = system.scheme.signals_batch(stale)
-            d = round_trip_delays_batch(system.network, system.discipline,
-                                        stale)
+            b, d = system.scheme.observe_batch(stale)
             if shared is not None:
                 mask = shared.participants(t - 1, n)
                 r_next = r.copy()
@@ -570,7 +559,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
             ring = ring[:, keep]
         return step, drop
 
-    return _drive("async_ensemble", r0, stepper, settle=settle_arr,
+    return _drive("async_ensemble", r0, stepper, settle=settle,
                   max_steps=max_steps, tol=tol, max_period=max_period,
                   limit=FlowControlSystem.DIVERGENCE_FACTOR
                   * system._mu_max,

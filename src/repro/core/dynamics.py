@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 from ..errors import ConvergenceError, RateVectorError, SweepError
 from ..faults import FaultEvent, FaultPlan
 from ..observability import RunRecord, emit_run_record, is_collecting
-from .delays import round_trip_delays, round_trip_delays_batch
+from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
                          sup_norm)
 from .ratecontrol import RateAdjustment, RcpSourceRule
@@ -52,11 +53,11 @@ __all__ = ["Outcome", "Trajectory", "EnsembleResult", "FlowControlSystem",
            "HISTORY_POLICIES", "ensemble_buffer_bytes"]
 
 #: Valid ``history`` policies for :meth:`FlowControlSystem.run_ensemble`.
-#: ``"full"`` keeps every state of every member (the ``record=True``
-#: behaviour), ``"tail"`` keeps only the rolling window period detection
-#: needs, ``"none"`` keeps no history at all (cheapest; members that
-#: exhaust the step budget classify UNDECIDED because there is no tail
-#: to search for a limit cycle).
+#: ``"full"`` keeps every state of every member, ``"tail"`` keeps only
+#: the rolling window period detection needs, ``"none"`` keeps no
+#: history at all (cheapest; members that exhaust the step budget
+#: classify UNDECIDED because there is no tail to search for a limit
+#: cycle).
 HISTORY_POLICIES = ("full", "tail", "none")
 
 
@@ -157,8 +158,8 @@ class EnsembleResult:
             length when oscillating, ``None`` otherwise).
         steps: per-member number of map applications performed.
         initials: the ``(M, N)`` initial conditions.
-        histories: when the ensemble was run with ``record=True`` (or
-            ``history="full"``), the per-member trajectories (each
+        histories: when the ensemble was run with ``history="full"``,
+            the per-member trajectories (each
             ``(steps_m + 1, N)``).  These are *views* into the block
             history buffer, not copies — zero-copy for the common
             "wrap in a Trajectory and read" pattern; call ``.copy()``
@@ -208,12 +209,12 @@ class EnsembleResult:
     def trajectory(self, m: int) -> Trajectory:
         """Member ``m`` as a :class:`Trajectory`.
 
-        Requires the ensemble to have been run with ``record=True``.
+        Requires the ensemble to have been run with ``history="full"``.
         """
         if self.histories is None:
             raise RateVectorError(
-                "run_ensemble(..., record=True) (history='full') is "
-                "required to extract per-member trajectories")
+                "run_ensemble(..., history='full') is required to "
+                "extract per-member trajectories")
         return Trajectory(self.histories[m], self.outcomes[m],
                           self.periods[m], int(self.steps[m]))
 
@@ -383,8 +384,7 @@ class FlowControlSystem:
         r = as_rate_matrix(rates, n=self.network.num_connections)
         rows = members if members is not None else range(r.shape[0])
         if structural is None:
-            b = self.scheme.signals_batch(r)
-            d = round_trip_delays_batch(self.network, self.discipline, r)
+            b, d = self.scheme.observe_batch(r)
         else:
             groups: dict = {}
             for row, m in enumerate(rows):
@@ -394,13 +394,10 @@ class FlowControlSystem:
             d = np.empty_like(r)
             for view, row_list in groups.values():
                 sel = np.asarray(row_list, dtype=np.intp)
-                sub = r[sel]
-                bs = view.scheme.signals_batch(sub)
+                bs, d[sel] = view.scheme.observe_batch(r[sel])
                 if view.blackholed.size:
                     bs[:, view.blackholed] = 1.0
                 b[sel] = bs
-                d[sel] = round_trip_delays_batch(view.network,
-                                                 self.discipline, sub)
         if faults is not None:
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
@@ -516,11 +513,10 @@ class FlowControlSystem:
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
                      max_period: int = 64,
-                     record: bool = False,
                      telemetry: Optional[bool] = None,
                      faults: Optional[FaultPlan] = None,
                      block_size: Optional[int] = None,
-                     history: Optional[str] = None,
+                     history: str = "tail",
                      structural=None) -> EnsembleResult:
         """Iterate the map from a whole batch of initial conditions.
 
@@ -547,8 +543,7 @@ class FlowControlSystem:
 
         ``history`` selects how much trajectory state is retained:
 
-        - ``"full"`` — every state of every member; equivalent to (and
-          implied by) ``record=True``.  Memory:
+        - ``"full"`` — every state of every member.  Memory:
           ``block * (max_steps + 1) * N`` floats per block, and the
           returned ``histories`` views keep each block's buffer alive.
         - ``"tail"`` (default) — only the rolling
@@ -559,8 +554,9 @@ class FlowControlSystem:
           UNDECIDED (never OSCILLATING) because there is no tail to
           search for a cycle.
 
-        Invalid policies raise :class:`~repro.errors.SweepError`, as
-        does ``record=True`` combined with a conflicting ``history``.
+        Invalid policies raise :class:`~repro.errors.SweepError`, as do
+        ``max_steps < 0``, ``settle < 1``, ``max_period < 1``, a
+        non-integer count, and a negative or NaN ``tol``.
         :func:`ensemble_buffer_bytes` predicts the buffer cost of a
         given (M, N, history, block) combination.
 
@@ -588,7 +584,6 @@ class FlowControlSystem:
         bit-identical.
         """
         r0 = as_rate_matrix(initials, n=self.network.num_connections)
-        history = _resolve_history(record, history)
         return self._ensemble("ensemble", r0, max_steps, tol, settle,
                               max_period, history, block_size, telemetry,
                               faults, structural)
@@ -680,32 +675,13 @@ def _row_trajectory(res: EnsembleResult, max_steps: int) -> Trajectory:
                       structural_events=res.structural_events)
 
 
-def _resolve_history(record: bool, history: Optional[str]) -> str:
-    """Resolve the ``record``/``history`` pair to one retention policy."""
-    if history is None:
-        return "full" if record else "tail"
-    if history not in HISTORY_POLICIES:
-        raise SweepError(
-            f"history must be one of {HISTORY_POLICIES}, got {history!r}")
-    if record and history != "full":
-        raise SweepError(
-            f"record=True keeps full histories and conflicts with "
-            f"history={history!r}; drop one of the two")
-    return history
-
-
 def _resolve_block_size(block_size, m_total: int,
                         stacklevel: int = 3) -> int:
     """Validate ``block_size`` and clamp it to the ensemble size;
     ``stacklevel`` points the oversize warning at the public caller."""
     if block_size is None:
         return max(m_total, 1)
-    if isinstance(block_size, bool) or \
-            not isinstance(block_size, (int, np.integer)):
-        raise SweepError(
-            f"block_size must be a positive integer, got {block_size!r}")
-    if block_size <= 0:
-        raise SweepError(f"block_size must be >= 1, got {block_size}")
+    _check_count("block_size", block_size, 1)
     if m_total and block_size > m_total:
         warnings.warn(
             f"block_size={block_size} exceeds the ensemble size "
@@ -713,6 +689,14 @@ def _resolve_block_size(block_size, m_total: int,
             RuntimeWarning, stacklevel=stacklevel)
         return m_total
     return int(block_size)
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise :class:`SweepError` unless ``value`` is an int >= ``low``."""
+    if isinstance(value, bool) or \
+            not isinstance(value, (int, np.integer)) or value < low:
+        raise SweepError(
+            f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class _Ledger:
@@ -746,19 +730,29 @@ def _drive(kind, r0, stepper, *, settle, max_steps, tol, max_period,
     the stepper carries when finished members leave.  ``settle`` is
     the quiet-step count, one for all members or one per member.
     Convergence, divergence, period classification, history retention,
-    blocking and telemetry live here and nowhere else.
+    blocking, telemetry and the validation of these arguments live
+    here and nowhere else.
     """
+    _check_count("max_steps", max_steps, 0)
+    _check_count("max_period", max_period, 1)
+    quiet = np.asarray(settle)
+    if quiet.dtype.kind not in "iu" or np.any(quiet < 1):
+        raise SweepError(f"settle must be an integer >= 1, got {settle!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise SweepError(f"tol must be a number >= 0, got {tol!r}")
+    if history not in HISTORY_POLICIES:
+        raise SweepError(
+            f"history must be one of {HISTORY_POLICIES}, got {history!r}")
     m_total, n = r0.shape
     if telemetry is None:
         telemetry = is_collecting()
     rec = None
     if telemetry:
         rec = RunRecord.begin(kind, m_total, n, max_steps, tol,
-                              int(np.max(settle)) if np.size(settle)
-                              else 0)
+                              int(np.max(quiet)) if quiet.size else 0)
         rec.n_blocks = max(-(-m_total // block), 1)
         rec.block_size = block if blocked else None
-    settle = np.broadcast_to(np.asarray(settle, dtype=int), (m_total,))
+    settle = np.broadcast_to(quiet, (m_total,))
     ledger = _Ledger(r0, record=history == "full")
     for base in range(0, m_total, block):
         _evolve_block(r0, base, min(base + block, m_total), stepper,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -116,19 +116,22 @@ class ServiceDiscipline(abc.ABC):
             out[~positive] = q_probe[~positive] / eps
         return out
 
-    def delays_batch(self, rates: np.ndarray, mu: float) -> np.ndarray:
+    def delays_batch(self, rates: np.ndarray, mu: float,
+                     queues: Optional[np.ndarray] = None) -> np.ndarray:
         """Batched per-packet sojourn times: row ``m`` equals
         ``delays(rates[m], mu)``.
 
         Mirrors :meth:`delays` exactly, including the tiny-probe-rate
-        treatment of zero-rate connections.
+        treatment of zero-rate connections.  ``queues`` is
+        ``queue_lengths_batch(rates, mu)`` when the caller has already
+        evaluated it (the probe is then the only queue-law call here).
         """
         r = np.asarray(rates, dtype=float)
         if r.ndim != 2:
             raise RateVectorError(
                 f"rate batch must be 2-D, got shape {r.shape}")
         _check_mu(mu)
-        q = self.queue_lengths_batch(r, mu)
+        q = self.queue_lengths_batch(r, mu) if queues is None else queues
         out = np.empty_like(q)
         positive = r > 0
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -404,13 +404,6 @@ class FeedbackScheme:
                     f"{self.weights.shape}")
             if np.any(self.weights <= 0):
                 raise RateVectorError("weights must be positive")
-        # Gather indices for the batch path: per gateway, the connection
-        # columns in Gamma(a) order — views into the network's CSR
-        # member arrays.  Static because routing is static.
-        csr = network.csr
-        self._gateway_cols = {
-            gname: csr.members(a)
-            for a, gname in enumerate(csr.gateway_names)}
 
     # -- per-gateway quantities ---------------------------------------
     def local_queues(self, rates: np.ndarray) -> Dict[str, np.ndarray]:
@@ -478,23 +471,40 @@ class FeedbackScheme:
         return b
 
     def signals_batch(self, rates: np.ndarray) -> np.ndarray:
-        """Bottleneck signals for an ``(M, N)`` batch of rate vectors.
+        """Bottleneck signals for an ``(M, N)`` batch of rate vectors:
+        the ``b`` of :meth:`observe_batch` (row ``m`` equals
+        ``signals(rates[m])``)."""
+        return self.observe_batch(rates)[0]
 
-        Row ``m`` of the result equals ``signals(rates[m])``; every
-        stage — queue laws, congestion measures, signal function, the
-        MAX over gateways — is evaluated once per gateway for the whole
-        batch instead of once per ensemble member.
+    def observe_batch(self, rates: np.ndarray) -> tuple:
+        """Signals ``b`` and round-trip delays ``d`` of an ``(M, N)``
+        batch in one pass over the gateways.
+
+        Each gateway's queue law runs once for the whole batch, and its
+        ``Q^a`` feeds both the congestion measure, signal function and
+        MAX scatter into ``b`` and the Little's-law sojourns added onto
+        the path latency in ``d``.  Row ``m`` of ``b`` equals
+        ``signals(rates[m])`` and row ``m`` of ``d`` equals
+        ``round_trip_delays(network, discipline, rates[m])``.
         """
         r = np.asarray(rates, dtype=float)
-        if r.ndim != 2 or r.shape[1] != self.network.num_connections:
+        net = self.network
+        if r.ndim != 2 or r.shape[1] != net.num_connections:
             raise RateVectorError(
-                f"need an (M, {self.network.num_connections}) rate "
+                f"need an (M, {net.num_connections}) rate "
                 f"batch, got shape {r.shape}")
+        csr = net.csr
         b = np.zeros_like(r)
-        for gname, cols in self._gateway_cols.items():
+        d = np.empty_like(r)
+        d[:] = csr.path_latency
+        for a, gname in enumerate(csr.gateway_names):
+            cols = csr.members(a)
+            if cols.size == 0:
+                continue
             local = r[:, cols]
-            q = self.discipline.queue_lengths_batch(
-                local, self.network.mu(gname))
+            mu = net.mu(gname)
+            q = self.discipline.queue_lengths_batch(local, mu)
+            d[:, cols] += self.discipline.delays_batch(local, mu, q)
             if self.style is FeedbackStyle.AGGREGATE:
                 c = np.broadcast_to(
                     q.sum(axis=1, keepdims=True), q.shape)
@@ -506,7 +516,7 @@ class FeedbackScheme:
             local_b = self.signal_fn.apply_batch(c)
             np.maximum(b[:, cols], local_b, out=local_b)
             b[:, cols] = local_b
-        return b
+        return b, d
 
     def bottlenecks(self, rates: np.ndarray,
                     tol: float = 1e-12) -> Dict[int, tuple]:

@@ -280,7 +280,7 @@ def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
     initials = ctx.probes[:2]
     system = ctx.system
     ens = system.run_ensemble(initials, max_steps=budget,
-                              tol=ctx.spec.tol, record=True)
+                              tol=ctx.spec.tol, history="full")
     worst = 0.0
     for m in range(len(ens)):
         traj = system.run(initials[m], max_steps=budget, tol=ctx.spec.tol)
@@ -797,7 +797,7 @@ def check_blocked_equivalence(ctx: ScenarioContext) -> OracleResult:
     """
     budget = min(ctx.spec.max_steps, 400)
     initials = ctx.probes
-    kwargs = dict(max_steps=budget, tol=ctx.spec.tol, record=True)
+    kwargs = dict(max_steps=budget, tol=ctx.spec.tol, history="full")
     blocked = ctx.system.run_ensemble(initials, block_size=2, **kwargs)
     oneshot = ctx.system.run_ensemble(initials, **kwargs)
     if not np.array_equal(blocked.finals, oneshot.finals):

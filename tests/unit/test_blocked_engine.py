@@ -8,11 +8,13 @@ memory for retention (``full`` > ``tail`` > ``none``) without touching
 the finals, and the retention buffers are views, never hidden copies.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.asynchronous import AsynchronousRunner, run_async_ensemble
 from repro.core.dynamics import (HISTORY_POLICIES, FlowControlSystem,
                                  Outcome, ensemble_buffer_bytes)
 from repro.core.fairshare import FairShare
@@ -102,18 +104,6 @@ class TestHistoryPolicies:
         assert result.history_policy == "tail"
         assert result.histories is None
 
-    def test_record_true_means_full(self, system, starts):
-        via_record = system.run_ensemble(starts, max_steps=300,
-                                         record=True)
-        via_policy = system.run_ensemble(starts, max_steps=300,
-                                         history="full")
-        assert via_record.history_policy == "full"
-        assert via_policy.history_policy == "full"
-        _same(via_record, via_policy)
-        for m in range(len(via_record)):
-            assert np.array_equal(via_record.histories[m],
-                                  via_policy.histories[m])
-
     def test_none_policy_keeps_finals_drops_retention(self, system,
                                                       starts):
         lean = system.run_ensemble(starts, max_steps=300,
@@ -123,7 +113,7 @@ class TestHistoryPolicies:
         assert lean.outcomes == full.outcomes
         assert np.array_equal(lean.steps, full.steps)
         assert lean.histories is None
-        with pytest.raises(RateVectorError, match="record=True"):
+        with pytest.raises(RateVectorError, match="history='full'"):
             lean.trajectory(0)
 
     def test_none_policy_cannot_detect_oscillation(self, system):
@@ -147,7 +137,7 @@ class TestHistoryPolicies:
 class TestHistoryOwnership:
     def test_ensemble_histories_are_views_without_cross_aliasing(
             self, system, starts):
-        result = system.run_ensemble(starts, max_steps=300, record=True)
+        result = system.run_ensemble(starts, max_steps=300, history="full")
         # Views into the block buffer (the zero-copy contract)...
         assert all(h.base is not None for h in result.histories)
         # ...but distinct members never alias: writing through one view
@@ -175,7 +165,45 @@ class TestHistoryOwnership:
         assert traj.history.flags.owndata
 
 
+def _entry_points():
+    start = np.full(4, 0.1)
+    return {
+        "run": lambda system, **kw: system.run(start, **kw),
+        "run_ensemble": lambda system, **kw: system.run_ensemble(
+            np.tile(start, (2, 1)), **kw),
+        "run_async_ensemble": lambda system, **kw: run_async_ensemble(
+            system, np.tile(start, (2, 1)), **kw),
+        "AsynchronousRunner.run": lambda system, **kw:
+            AsynchronousRunner(system).run(start, **kw),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
 class TestValidation:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("arg, bad", [
+        ("settle", 0), ("settle", -1), ("settle", 2.5), ("settle", True),
+        ("max_steps", -1), ("max_steps", 2.5), ("max_period", 0),
+        ("tol", -1e-10), ("tol", math.nan), ("tol", "0")])
+    def test_bad_driver_argument_raises(self, system, entry, arg, bad):
+        with pytest.raises(SweepError, match=arg):
+            ENTRY_POINTS[entry](system, **{"max_steps": 200, arg: bad})
+
+    def test_settle_zero_would_fake_convergence(self, system):
+        # From 0.1 this system needs 42 steps to converge; settle=0
+        # used to report CONVERGED after one.
+        traj = system.run(np.full(4, 0.1))
+        assert traj.outcome is Outcome.CONVERGED and traj.steps == 42
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_zero_tol_and_zero_budget_stay_valid(self, system, entry):
+        res = ENTRY_POINTS[entry](system, max_steps=0, tol=0.0)
+        assert np.all(np.asarray(res.steps) == 0)
+        res = ENTRY_POINTS[entry](system, max_steps=5, tol=0.0)
+        assert np.all(np.asarray(res.steps) == 5)
+
     @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "4"])
     def test_bad_block_size_raises(self, system, starts, bad):
         with pytest.raises(SweepError, match="block_size"):
@@ -191,11 +219,6 @@ class TestValidation:
     def test_bad_history_policy_raises(self, system, starts):
         with pytest.raises(SweepError, match="history must be one of"):
             system.run_ensemble(starts, max_steps=10, history="most")
-
-    def test_record_conflicts_with_partial_history(self, system, starts):
-        with pytest.raises(SweepError, match="record=True"):
-            system.run_ensemble(starts, max_steps=10, record=True,
-                                history="none")
 
     def test_empty_ensemble_accepts_policies(self, system):
         empty = system.run_ensemble(np.empty((0, 4)), max_steps=10,
