@@ -1,11 +1,12 @@
 """Kernel backends: which implementation serves the compiled hot paths.
 
 The engine computes with numpy throughout.  What a backend selects is
-the kernel tier behind the two hot paths that dominate profiles: the
-FIFO event loop in :mod:`repro.simulation.kernel` and the Fair Share
-sorted prefix-sum queue laws in :mod:`repro.core.fairshare` /
-:mod:`repro.core.signals`.  This package is the single place that
-choice is resolved:
+the kernel tier behind the hot paths that dominate profiles: the
+packet engine's event loops in :mod:`repro.simulation.kernel` (the
+FIFO loop and the class-discipline loop serving Fair Share and
+fixed-priority) and the Fair Share sorted prefix-sum queue laws in
+:mod:`repro.core.fairshare` / :mod:`repro.core.signals`.  This package
+is the single place that choice is resolved:
 
 * :func:`resolve` — map a backend name (or the ``REPRO_BACKEND``
   environment variable) to a :class:`Backend`.  Unknown or unavailable
@@ -17,6 +18,10 @@ choice is resolved:
 * :func:`fs_kernels_active` — the switch :func:`~repro.core.math_utils.
   pick_kernel` consults before routing ``method="auto"`` to the
   compiled Fair Share kernels.
+* ``active().compiled`` — the matching switch for the packet engine:
+  ``NetworkSimulation(engine="auto")`` resolves to the compiled event
+  loops exactly when it is true, and to the Python ``"fast"`` engine
+  otherwise (so under the default numpy backend).
 
 Backend names
 -------------

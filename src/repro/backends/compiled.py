@@ -3,7 +3,8 @@
 One question, answered once per process: which implementation serves
 the compiled hot paths?  The runtime-built C extension
 (:mod:`repro.backends._cext`) when a C compiler exists — it serves
-both the Fair Share kernels and the FIFO event loop — and otherwise
+both the Fair Share kernels and the packet engine's FIFO and
+class-discipline event loops — and otherwise
 ``python``, meaning callers keep using the existing pure-python/numpy
 kernels unchanged.  :mod:`repro.backends._fs_python` holds the plain
 loop twins of the C Fair Share kernels, the reference the tests diff
@@ -11,8 +12,9 @@ them against.
 
 Observability: :data:`METRICS` carries per-phase
 :class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
-(actual C build time, zero on a cache hit) and ``run.fifo``
-(steady-state time inside the compiled event loop) — so
+(actual C build time, zero on a cache hit), ``run.fifo`` and
+``run.general`` (steady-state time inside the compiled FIFO and
+class-discipline event loops) — so
 ``BENCH_compiled.json`` can separate warmup from throughput.
 """
 
@@ -53,8 +55,9 @@ def fs_available() -> bool:
 
 
 def fifo_lib():
-    """The C library serving the FIFO event loop, or None (the
-    pure-python ``_run_fifo`` is the graceful fallback)."""
+    """The C library serving the packet event loops (FIFO and class
+    discipline), or None (the pure-python ``_run_fifo`` /
+    ``_run_general`` are the graceful fallback)."""
     return _cext.load()
 
 

@@ -15,8 +15,9 @@ a whole scenario family:
                          the one-shot run (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
 ``compiled-equivalence`` fast vs compiled (runtime-built C) FIFO
-                         kernels (bit-identical; not-applicable when
-                         no C tier could be built)
+                         and Fair Share packet loops (bit-identical,
+                         no Python fallback; not-applicable when no C
+                         tier could be built)
 ``fixed-point``          converged trajectory is a fixed point of the
                          map, and agrees with the damped refiner
 ``tsi``                  Theorem 1: scaling every ``mu`` by ``c``
@@ -368,19 +369,21 @@ def check_kernel_equivalence(ctx: ScenarioContext) -> OracleResult:
 
 
 def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """Compiled vs fast FIFO kernel: bit-identical statistics.
+    """Compiled vs fast packet kernel: bit-identical statistics.
 
-    The compiled engine runs ``_run_fifo`` inside the runtime-built C
-    library (:mod:`repro.backends._cext`); its contract is the same
+    The compiled engine runs the FIFO loop and the class-discipline
+    (Fair Share) loop inside the runtime-built C library
+    (:mod:`repro.backends._cext`); its contract is the same
     bit-identity the fast/legacy pair guarantees — same RNG bitstream,
-    same event order, same float arithmetic.  Applies to FIFO
-    scenarios (the only discipline with a compiled event loop); when
-    no C tier could be built the compiled engine falls back to the
-    Python loop per call, which keeps the check trivially green, so
-    the oracle reports not-applicable instead of a hollow pass.
+    same event order, same float arithmetic, same event count.
+    Applies to the disciplines with a packet kernel (fifo and
+    fair-share).  When no C tier could be built the compiled engine
+    falls back to the Python loops per call, which would keep the check
+    trivially green, so the oracle then reports not-applicable instead
+    of a hollow pass — and with the tier live, any fallback fails it.
     """
     spec = ctx.spec
-    if spec.discipline != "fifo":
+    if spec.discipline not in ("fifo", "fair-share"):
         return OracleResult(
             "compiled-equivalence", False, True,
             f"discipline {spec.discipline!r} has no compiled kernel")
@@ -400,16 +403,20 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
         sim.run_for(30.0)
         sim.reset_statistics()
         sim.run_for(120.0)
-        fallbacks = getattr(sim._engine, "fifo_fallbacks", None)
         return {"mql": sim.mean_queue_lengths(),
                 "arr": sim.measured_arrival_rates(),
                 "drop": sim.drop_fractions(),
                 "thr": sim.throughput(),
                 "delay": sim.mean_delays(),
                 "events": sim.events_processed,
-                "fallbacks": fallbacks}
+                "fallbacks": getattr(sim._engine, "fallbacks", None)}
 
     fast, comp = run("fast"), run("compiled")
+    if comp["fallbacks"] != 0:
+        return OracleResult(
+            "compiled-equivalence", True, False,
+            f"compiled engine ran the Python loop {comp['fallbacks']} "
+            f"time(s) with the C tier live")
     for key in ("mql", "arr", "drop"):
         for g in fast[key]:
             if not np.array_equal(fast[key][g], comp[key][g]):
@@ -429,8 +436,8 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
             f"{comp['events']}")
     return OracleResult(
         "compiled-equivalence", True, True,
-        f"bit-identical over {fast['events']} events "
-        f"({comp['fallbacks']} fallbacks)")
+        f"bit-identical over {fast['events']} {spec.discipline} events "
+        f"in C")
 
 
 def check_fixed_point(ctx: ScenarioContext) -> OracleResult:

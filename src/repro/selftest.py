@@ -282,7 +282,7 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
           f"active: {act.name} (kernel tier: {act.kernel_tier}, "
           f"compiled FS kernels: "
           f"{'yes' if compiled_kernels.fs_available() else 'no'}, "
-          f"compiled FIFO engine: "
+          f"compiled packet engine: "
           f"{'yes' if compiled_kernels.fifo_lib() is not None else 'no'})")
     big = rng.uniform(0.0, 0.5, size=(4, 96))
     want = FairShare().queue_lengths_batch(big, mu=1.0, method="sorted")
@@ -293,6 +293,25 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
     else:
         _check("compiled FS queue law is bit-identical to sorted",
                bool(np.array_equal(got, want)), failures)
+    if compiled_kernels.fifo_lib() is None:
+        _check("compiled class loop unavailable (pure-python loops ok)",
+               True, failures)
+    else:
+        from .simulation.network_sim import NetworkSimulation
+        runs = []
+        for engine in ("fast", "compiled"):
+            sim = NetworkSimulation(single_gateway(4, mu=1.0),
+                                    discipline_kind="fair-share", seed=3,
+                                    initial_rates=[0.1, 0.2, 0.25, 0.15],
+                                    engine=engine)
+            sim.run_for(2000.0)
+            runs.append((sim.events_processed,
+                         sim.mean_queue_lengths()["g0"]))
+        _check("compiled Fair Share packet loop is bit-identical to fast "
+               f"({runs[0][0]} events)",
+               runs[0][0] == runs[1][0]
+               and bool(np.array_equal(runs[0][1], runs[1][1]))
+               and sim._engine.fallbacks == 0, failures)
 
     print("scenario fuzzing smoke:")
     from .scenarios import generate, run_scenario

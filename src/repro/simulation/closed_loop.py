@@ -24,6 +24,8 @@ delivery regardless).
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Union
@@ -99,10 +101,18 @@ def run_closed_loop(network: Network,
     ``ClosedLoopResult.fault_events``.  ``None`` and the empty plan
     leave the run bit-identical to the fault-free path.
 
+    ``control_interval`` must be a finite number > 0 and ``n_steps``
+    an integer >= 0 (a zero interval would average empty windows into
+    a plausible-looking trajectory); both raise
+    :class:`~repro.errors.SimulationError` otherwise.
+
     ``engine`` selects the simulation engine (see
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
-    ``"auto"`` uses the fast kernel whenever the configuration allows,
-    with bit-identical trajectories to ``"legacy"``.
+    ``"auto"`` uses the packet kernel whenever the configuration
+    allows — the compiled C loops when the active backend carries the
+    live C tier (``repro.backends.active().compiled``), the fast
+    Python kernel otherwise — with trajectories bit-identical to
+    ``"legacy"``.
 
     When an :func:`repro.observability.collect` session is active, a
     :class:`~repro.observability.RunRecord` is emitted whose
@@ -111,6 +121,17 @@ def run_closed_loop(network: Network,
     ``"rules"`` (rate updates) — the breakdown the kernel benchmarks
     watch.
     """
+    if isinstance(control_interval, bool) \
+            or not isinstance(control_interval, numbers.Real) \
+            or not (math.isfinite(control_interval)
+                    and control_interval > 0):
+        raise SimulationError(
+            f"control_interval must be a finite number > 0, got "
+            f"{control_interval!r}")
+    if isinstance(n_steps, bool) or \
+            not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise SimulationError(
+            f"n_steps must be an integer >= 0, got {n_steps!r}")
     if signal_source not in ("queue", "drops"):
         raise SimulationError(
             f"signal_source must be 'queue' or 'drops', got "

@@ -19,7 +19,7 @@ classes.  Two modes:
   gathered by their own monitors over the previous measurement window
   (what a real router could do).
 
-Two interchangeable engines run the system (``engine=`` selects):
+Three interchangeable engines run the system (``engine=`` selects):
 
 * ``"legacy"`` — the original object engine: callback
   :class:`~repro.simulation.events.Scheduler`, :class:`Packet`
@@ -27,18 +27,29 @@ Two interchangeable engines run the system (``engine=`` selects):
 * ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine` on the
   struct-of-arrays calendar, pooled packet ids and buffered random
   streams.  Same seed ⇒ bit-identical trajectories (same draws, same
-  event order, same float arithmetic).
-* ``"auto"`` (default) — the fast engine whenever it supports the
-  configuration (FIFO / Fair Share / fixed-priority with drop-tail
-  buffers); Fair Queueing and drop-from-longest fall back to legacy.
+  event order, same float arithmetic);
+* ``"compiled"`` — the :class:`~repro.simulation.kernel_compiled.
+  CompiledEngine`: the fast engine with its FIFO and class-discipline
+  (Fair Share, fixed-priority) event loops in runtime-compiled C,
+  bit-identical to ``"fast"``; without a C compiler it runs the fast
+  engine's Python loops;
+* ``"auto"`` (default) — whenever the configuration allows (FIFO / Fair
+  Share / fixed-priority with drop-tail buffers), ``"compiled"`` when
+  the active backend carries the live C tier
+  (``repro.backends.active().compiled``, e.g. under
+  ``backends.using("compiled")``) and ``"fast"`` otherwise, so the
+  default numpy backend stays on the fast engine; Fair Queueing and
+  drop-from-longest fall back to legacy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .. import backends
 from ..core.topology import Network
 from ..errors import SimulationError
 from .events import EventHandle, Scheduler
@@ -102,11 +113,9 @@ class NetworkSimulation:
                 f"the {engine} engine does not support "
                 f"discipline {discipline_kind!r} with "
                 f"drop_policy {drop_policy!r} here; use engine='legacy'")
-        if engine == "compiled":
-            self.engine = "compiled"
-        else:
-            self.engine = "fast" if (engine != "legacy" and fast_ok) \
-                else "legacy"
+        if engine == "auto" and fast_ok:
+            engine = "compiled" if backends.active().compiled else "fast"
+        self.engine = engine if engine != "auto" else "legacy"
 
         # Rates the Fair Share classifier sees, per gateway (local order).
         self._fs_rates: Dict[str, np.ndarray] = {}
@@ -116,11 +125,11 @@ class NetworkSimulation:
 
         if self.engine in ("fast", "compiled"):
             if self.engine == "compiled":
-                # Same construction, compiled FIFO hot loop (with a
-                # graceful per-call fallback to the Python loop when
+                # Same construction, compiled event loops (with a
+                # graceful per-call fallback to the Python loops when
                 # no C tier could be built).
-                from .kernel_compiled import CompiledFifoEngine
-                engine_cls = CompiledFifoEngine
+                from .kernel_compiled import CompiledEngine
+                engine_cls = CompiledEngine
             else:
                 engine_cls = FastEngine
             self._engine: Optional[FastEngine] = engine_cls(
@@ -292,7 +301,11 @@ class NetworkSimulation:
         return self.scheduler.events_processed
 
     def run_for(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` time units."""
+        """Advance the simulation by ``duration`` time units (a finite
+        number >= 0; NaN or infinity would never reach the horizon)."""
+        if not math.isfinite(duration):
+            raise SimulationError(
+                f"duration must be finite, got {duration!r}")
         if duration < 0:
             raise SimulationError("duration must be nonnegative")
         if self._engine is not None:

@@ -160,9 +160,39 @@ class TestEveryOracleFires:
             assert res.applicable and res.passed
             assert "bit-identical" in res.detail
 
-    def test_compiled_equivalence_inapplicable_off_fifo(self):
+    def test_compiled_equivalence_passes_on_healthy_fair_share(self):
         res = run_oracle("compiled-equivalence",
-                         ScenarioContext(spec_of()))
+                         ScenarioContext(spec_of(discipline="fair-share")))
+        from repro.backends import compiled
+        if compiled.fifo_lib() is None:
+            assert not res.applicable
+        else:
+            assert res.applicable and res.passed
+            assert "fair-share" in res.detail
+
+    def test_compiled_equivalence_catches_python_fallback(
+            self, monkeypatch):
+        from repro.backends import compiled
+        from repro.simulation.kernel_compiled import CompiledEngine
+        if compiled.fifo_lib() is None:
+            pytest.skip("no C tier: the oracle reports not-applicable")
+
+        def python_loop(self, loop, t_end, max_events):
+            self.fallbacks += 1
+            return False
+
+        monkeypatch.setattr(CompiledEngine, "_run_compiled", python_loop)
+        res = run_oracle("compiled-equivalence",
+                         ScenarioContext(spec_of(discipline="fair-share")))
+        assert res.applicable and not res.passed
+        assert "Python loop" in res.detail
+
+    def test_compiled_equivalence_inapplicable_off_fast_kernels(self):
+        # Weighted Fair Share has no packet kernel at all.
+        spec = dataclasses.replace(spec_of(),
+                                   discipline="weighted-fair-share",
+                                   weights=(1.0, 2.0, 1.5))
+        res = run_oracle("compiled-equivalence", ScenarioContext(spec))
         assert not res.applicable
 
     def test_fixed_point_catches_non_stationary_final(self):
